@@ -156,18 +156,14 @@ let par_chunks pool n =
   Taqp_parallel.Shard.ranges ~n ~k:(4 * Taqp_parallel.Pool.size pool)
 
 (* Chunked filter: each range filters in index order, chunks concat in
-   range order — extensionally equal to [Seq.filter] over the array. *)
+   range order — extensionally equal to [Ops.filter] over the array. *)
 let par_filter pool test arr =
   let ranges = par_chunks pool (Array.length arr) in
   let chunks =
     Taqp_parallel.Pool.run pool
       (Array.map
          (fun (r : Taqp_parallel.Shard.range) () ->
-           let out = ref [] in
-           for i = r.hi - 1 downto r.lo do
-             if test arr.(i) then out := arr.(i) :: !out
-           done;
-           Array.of_list !out)
+           Ops.filter ~lo:r.lo ~hi:r.hi test arr)
          ranges)
   in
   Array.concat (Array.to_list chunks)
@@ -1041,7 +1037,7 @@ and eval_node_body t device node : Tuple.t array =
         match t.pool with
         | Some pool when Array.length delta_in >= !par_threshold ->
             par_filter pool test delta_in
-        | _ -> Array.of_seq (Seq.filter test (Array.to_seq delta_in))
+        | _ -> Ops.filter test delta_in
       in
       let t1 = Clock.now clock in
       charge_out (Array.length out);
@@ -1160,9 +1156,7 @@ and eval_node_body t device node : Tuple.t array =
             let t1 = Clock.now clock in
             let sort_with cmp arr =
               Device.sort device ~n:(Array.length arr);
-              let s = Array.copy arr in
-              Array.sort cmp s;
-              s
+              Ops.sorted_copy cmp arr
             in
             (* This stage's delta sorts go through the shared cache
                when the side is a leaf on the shared prefix: a hit
@@ -1203,12 +1197,11 @@ and eval_node_body t device node : Tuple.t array =
               match t.pool with
               | Some pool when t.cache = None && sort_tuples >= !par_threshold ->
                   (* The sorts are independent whole-array jobs, so they
-                     fan out as-is (never splitting one sort — Array.sort
-                     is not stable, but the same array under the same
-                     comparator is deterministic). Charges are replayed
-                     up front in the sequential call order; gated on no
-                     cache because [sorted_delta] interleaves cache
-                     probes with the charges. *)
+                     fan out as-is, each making on one worker the same
+                     sorted copy the sequential path makes. Charges are
+                     replayed up front in the sequential call order;
+                     gated on no cache because [sorted_delta] interleaves
+                     cache probes with the charges. *)
                   let jobs =
                     Array.concat
                       [
@@ -1225,10 +1218,7 @@ and eval_node_body t device node : Tuple.t array =
                   let sorted =
                     Taqp_parallel.Pool.run pool
                       (Array.map
-                         (fun (cmp, a) () ->
-                           let s = Array.copy a in
-                           Array.sort cmp s;
-                           s)
+                         (fun (cmp, a) () -> Ops.sorted_copy cmp a)
                          jobs)
                   in
                   let n_ml = List.length missing_l in
@@ -1914,13 +1904,10 @@ let rec restore_state node ns =
          bit-identical, probe emission order included). No device is
          charged: recovery pays journal-read time, not a replay of
          work that already happened. *)
-      let sort_with cmp arr =
-        let s = Array.copy arr in
-        Array.sort cmp s;
-        s
-      in
-      b.files_l <- List.map (sort_with b.cmp_l) (take bs.nb_files_l bs.nb_deltas_l);
-      b.files_r <- List.map (sort_with b.cmp_r) (take bs.nb_files_r bs.nb_deltas_r);
+      b.files_l <-
+        List.map (Ops.sorted_copy b.cmp_l) (take bs.nb_files_l bs.nb_deltas_l);
+      b.files_r <-
+        List.map (Ops.sorted_copy b.cmp_r) (take bs.nb_files_r bs.nb_deltas_r);
       List.iter
         (fun d -> Ops.Hash_index.add b.hash_l d)
         (take bs.nb_hashed_l bs.nb_deltas_l);

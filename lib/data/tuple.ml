@@ -20,15 +20,18 @@ let project t positions =
 let concat a b =
   { fields = Array.append a.fields b.fields; pad = a.pad + b.pad }
 
+(* The comparisons below run once per sort or merge step, so they are
+   loops over local refs: a local recursive function would allocate a
+   closure on every call. *)
 let compare a b =
   let na = arity a and nb = arity b in
-  let rec go i =
-    if i >= na || i >= nb then Int.compare na nb
-    else
-      let c = Value.compare a.fields.(i) b.fields.(i) in
-      if c <> 0 then c else go (i + 1)
-  in
-  go 0
+  let n = Int.min na nb in
+  let i = ref 0 and c = ref 0 in
+  while !c = 0 && !i < n do
+    c := Value.compare a.fields.(!i) b.fields.(!i);
+    incr i
+  done;
+  if !c <> 0 then !c else Int.compare na nb
 
 let equal a b = compare a b = 0
 
@@ -36,14 +39,13 @@ let hash t =
   Array.fold_left (fun acc v -> (acc * 31) + Value.hash v) 7 t.fields
 
 let compare_on key a b =
-  let rec go i =
-    if i >= Array.length key then 0
-    else
-      let k = key.(i) in
-      let c = Value.compare a.fields.(k) b.fields.(k) in
-      if c <> 0 then c else go (i + 1)
-  in
-  go 0
+  let i = ref 0 and c = ref 0 in
+  while !c = 0 && !i < Array.length key do
+    let k = key.(!i) in
+    c := Value.compare a.fields.(k) b.fields.(k);
+    incr i
+  done;
+  !c
 
 let key t positions = Array.map (fun i -> t.fields.(i)) positions
 

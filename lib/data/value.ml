@@ -41,11 +41,30 @@ let compare a b =
 
 let equal a b = compare a b = 0
 
+(* The 64-bit murmur3 finalizer with its constants cut to OCaml's int
+   width: every input bit reaches the low bits a hash table indexes by. *)
+let mix h =
+  let h = h lxor (h lsr 33) in
+  let h = h * 0x3f51afd7ed558ccd in
+  let h = h lxor (h lsr 33) in
+  let h = h * 0x04ceb9fe1a85ec53 in
+  h lxor (h lsr 33)
+
+(* Consistent with [compare]: a float equal to an int hashes as that
+   int, every NaN hashes alike, and an int too large for a float to
+   hold exactly hashes as the float it compares equal to. Nothing here
+   boxes or calls out of OCaml except the string case. *)
+let[@inline] hash_float f =
+  if Float.is_integer f && Float.abs f < 0x1p62 then mix (int_of_float f)
+  else if Float.is_nan f then 0x2f
+  else mix (Int64.to_int (Int64.bits_of_float f))
+
 let hash = function
   | Null -> 17
   | Bool b -> if b then 31 else 37
-  | Int i -> Hashtbl.hash (float_of_int i)
-  | Float f -> Hashtbl.hash f
+  | Int i when i >= -0x20000000000000 && i <= 0x20000000000000 -> mix i
+  | Int i -> hash_float (float_of_int i)
+  | Float f -> hash_float f
   | String s -> Hashtbl.hash s
 
 let byte_size = function

@@ -27,6 +27,9 @@ val compare : t -> t -> int
 val equal : t -> t -> bool
 
 val hash : t -> int
+(** Consistent with {!equal}: values that compare equal hash alike, so
+    [Int 3] and [Float 3.0] share a hash-table group. Allocates
+    nothing. *)
 
 val byte_size : t -> int
 (** Storage footprint in bytes: 8 for numbers, 1 for bools and nulls,

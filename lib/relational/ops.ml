@@ -11,13 +11,39 @@ let charge_output device n =
       Device.output_tuples d ~n;
       Device.write_pages d ~n:(pages_of_tuples n)
 
+(* The first pass records each verdict in a byte mask and counts them;
+   the second fills an array of exactly that size. Nothing is allocated
+   per tuple, and [test] runs once per tuple, in index order. *)
+let filter ?(lo = 0) ?hi test (tuples : Tuple.t array) =
+  let hi = Option.value hi ~default:(Array.length tuples) in
+  let keep = Bytes.make (Int.max 0 (hi - lo)) '\000' in
+  let kept = ref 0 in
+  for i = lo to hi - 1 do
+    if test tuples.(i) then begin
+      Bytes.unsafe_set keep (i - lo) '\001';
+      incr kept
+    end
+  done;
+  if !kept = 0 then [||]
+  else begin
+    let out = Array.make !kept tuples.(lo) in
+    let j = ref 0 in
+    for i = lo to hi - 1 do
+      if Bytes.unsafe_get keep (i - lo) = '\001' then begin
+        out.(!j) <- tuples.(i);
+        incr j
+      end
+    done;
+    out
+  end
+
 let select ?device ~schema pred tuples =
   let test = Predicate.compile schema pred in
   let comparisons = Predicate.comparisons pred in
   (match device with
   | None -> ()
   | Some d -> Device.check_tuples d ~n:(Array.length tuples) ~comparisons);
-  let out = Array.of_seq (Seq.filter test (Array.to_seq tuples)) in
+  let out = filter test tuples in
   charge_output device (Array.length out);
   out
 
@@ -40,6 +66,14 @@ let key_comparator ~arity key =
   let order = Array.append key (Array.of_list !rest) in
   Tuple.compare_on order
 
+(* A stable merge sort: fewer comparisons than [Array.sort]'s heapsort,
+   and every comparator used on tuples is a total order over all fields,
+   so the result is the same either way. *)
+let sorted_copy cmp (tuples : Tuple.t array) =
+  let copy = Array.copy tuples in
+  Array.stable_sort cmp copy;
+  copy
+
 let sort_stage ?device ~key tuples =
   let n = Array.length tuples in
   (match device with
@@ -48,10 +82,8 @@ let sort_stage ?device ~key tuples =
       Device.write_temp_tuples d ~n;
       Device.write_pages d ~n:(pages_of_tuples n);
       Device.sort d ~n);
-  let copy = Array.copy tuples in
   let arity = if n = 0 then 0 else Tuple.arity tuples.(0) in
-  Array.sort (key_comparator ~arity key) copy;
-  copy
+  sorted_copy (key_comparator ~arity key) tuples
 
 let key_positions schema names =
   Array.of_list (List.map (Schema.find schema) names)
@@ -95,15 +127,12 @@ let merge_groups ?device ~key_l ~key_r left right emit =
   | None -> ()
   | Some d -> Device.merge_tuples d ~n:(nl + nr));
   let compare_keys a b =
-    let rec go i =
-      if i >= Array.length key_l then 0
-      else
-        let c =
-          Value.compare (Tuple.get a key_l.(i)) (Tuple.get b key_r.(i))
-        in
-        if c <> 0 then c else go (i + 1)
-    in
-    go 0
+    let i = ref 0 and c = ref 0 in
+    while !c = 0 && !i < Array.length key_l do
+      c := Value.compare (Tuple.get a key_l.(!i)) (Tuple.get b key_r.(!i));
+      incr i
+    done;
+    !c
   in
   let i = ref 0 and j = ref 0 in
   while !i < nl && !j < nr do
@@ -276,55 +305,56 @@ let merge_sorted_intersect ?device left right =
 (* Retained hash indexes (the incremental evaluation path)             *)
 
 module Hash_index = struct
-  (* Buckets are keyed by the hash of the key-value array and resolved
-     by full key comparison, so hash collisions (and cross-type numeric
-     keys: Int 3 vs Float 3.0 hash and compare equal) are safe. Within
-     a key group tuples are kept newest-first; probing emits groups in
-     that fixed order, so a seeded run is reproducible. *)
-  type group = { key_vals : Value.t array; mutable tuples : Tuple.t list }
+  (* Groups are keyed by their key-value array under [Value.compare]
+     equality, so cross-type numeric keys (Int 3 and Float 3.0 compare
+     and hash alike) share a group. Within a group tuples are kept
+     newest-first; probing emits them in that fixed order, so a seeded
+     run is reproducible. *)
+  module Groups = Hashtbl.Make (struct
+    type t = Value.t array
 
-  type t = {
-    key : int array;
-    buckets : (int, group list ref) Hashtbl.t;
-    mutable size : int;
-  }
+    let equal a b =
+      Array.length a = Array.length b
+      &&
+      let i = ref 0 in
+      while !i < Array.length a && Value.compare a.(!i) b.(!i) = 0 do
+        incr i
+      done;
+      !i = Array.length a
 
-  let create ~key = { key; buckets = Hashtbl.create 256; size = 0 }
+    let hash vals =
+      let h = ref 7 in
+      for i = 0 to Array.length vals - 1 do
+        h := (!h * 31) + Value.hash vals.(i)
+      done;
+      !h
+  end)
+
+  type t = { key : int array; groups : Tuple.t list ref Groups.t; mutable size : int }
+
+  let create ~key = { key; groups = Groups.create 256; size = 0 }
 
   let key_positions t = t.key
   let length t = t.size
 
-  let hash_key vals =
-    Array.fold_left (fun acc v -> (acc * 31) + Value.hash v) 7 vals
-
-  let key_equal a b =
-    Array.length a = Array.length b
-    &&
-    let rec go i =
-      i >= Array.length a || (Value.compare a.(i) b.(i) = 0 && go (i + 1))
-    in
-    go 0
-
-  let find_group t vals =
-    match Hashtbl.find_opt t.buckets (hash_key vals) with
-    | None -> None
-    | Some chain -> List.find_opt (fun g -> key_equal g.key_vals vals) !chain
+  (* Lookups read a tuple's key into one scratch array per call rather
+     than a fresh array per tuple; only a new group keeps a copy. *)
+  let load scratch positions tuple =
+    for i = 0 to Array.length positions - 1 do
+      scratch.(i) <- Tuple.get tuple positions.(i)
+    done
 
   let add ?device t tuples =
     (match device with
     | None -> ()
     | Some d -> Device.hash_build d ~n:(Array.length tuples));
+    let scratch = Array.make (Array.length t.key) Value.Null in
     Array.iter
       (fun tuple ->
-        let vals = Tuple.key tuple t.key in
-        (match find_group t vals with
-        | Some g -> g.tuples <- tuple :: g.tuples
-        | None -> (
-            let g = { key_vals = vals; tuples = [ tuple ] } in
-            let h = hash_key vals in
-            match Hashtbl.find_opt t.buckets h with
-            | Some chain -> chain := g :: !chain
-            | None -> Hashtbl.replace t.buckets h (ref [ g ])));
+        load scratch t.key tuple;
+        (match Groups.find_opt t.groups scratch with
+        | Some g -> g := tuple :: !g
+        | None -> Groups.add t.groups (Array.copy scratch) (ref [ tuple ]));
         t.size <- t.size + 1)
       tuples
 
@@ -332,12 +362,14 @@ module Hash_index = struct
     (match device with
     | None -> ()
     | Some d -> Device.hash_probe d ~n:(Array.length tuples));
+    let scratch = Array.make (Array.length probe_key) Value.Null in
     Array.iter
       (fun probe_tuple ->
-        match find_group t (Tuple.key probe_tuple probe_key) with
+        load scratch probe_key probe_tuple;
+        match Groups.find_opt t.groups scratch with
         | None -> ()
         | Some g ->
-            List.iter (fun indexed -> emit ~indexed ~probe:probe_tuple) g.tuples)
+            List.iter (fun indexed -> emit ~indexed ~probe:probe_tuple) !g)
       tuples
 end
 

@@ -20,6 +20,16 @@ val select :
   Tuple.t array
 (** Figure 4.3: read and check each tuple, write qualifying pages. *)
 
+val filter :
+  ?lo:int -> ?hi:int -> (Tuple.t -> bool) -> Tuple.t array -> Tuple.t array
+(** The tuples of [a.(lo)..a.(hi-1)] (default: all of [a]) that satisfy
+    the test, in index order, in a fresh array. The test runs once per
+    tuple, in index order. Charges nothing. *)
+
+val sorted_copy :
+  (Tuple.t -> Tuple.t -> int) -> Tuple.t array -> Tuple.t array
+(** A stably sorted copy. Charges nothing. *)
+
 val sort_stage :
   ?device:Device.t -> key:int array -> Tuple.t array -> Tuple.t array
 (** Steps (1)-(2) of Figures 4.4/4.6/4.7: write the tuples to a temp

@@ -1,4 +1,12 @@
-type t = { mutable s0 : int64; mutable s1 : int64; mutable s2 : int64; mutable s3 : int64 }
+(* The xoshiro256** state words s0..s3, little-endian at byte offsets 0,
+   8, 16 and 24. A generator lives as long as its query and is drawn
+   from on every jittered charge: mutable [int64] record fields would
+   box a fresh Int64 on each write (and pay a write barrier for it),
+   while reads and writes of a byte buffer stay unboxed. *)
+type t = Bytes.t
+
+let[@inline] get t i = Bytes.get_int64_le t (8 * i)
+let[@inline] set t i v = Bytes.set_int64_le t (8 * i) v
 
 (* splitmix64, used only to expand the integer seed into xoshiro state. *)
 let splitmix_next state =
@@ -9,80 +17,92 @@ let splitmix_next state =
   let z = mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL in
   logxor z (shift_right_logical z 31)
 
-let create seed =
-  let state = ref (Int64.of_int seed) in
-  let s0 = splitmix_next state in
-  let s1 = splitmix_next state in
-  let s2 = splitmix_next state in
-  let s3 = splitmix_next state in
-  { s0; s1; s2; s3 }
+let of_splitmix seed =
+  let state = ref seed in
+  let t = Bytes.create 32 in
+  for i = 0 to 3 do
+    set t i (splitmix_next state)
+  done;
+  t
 
-let rotl x k =
+let create seed = of_splitmix (Int64.of_int seed)
+
+let[@inline] rotl x k =
   Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
 
-let bits64 t =
+let[@inline] next t =
   let open Int64 in
-  let result = mul (rotl (mul t.s1 5L) 7) 9L in
-  let tmp = shift_left t.s1 17 in
-  t.s2 <- logxor t.s2 t.s0;
-  t.s3 <- logxor t.s3 t.s1;
-  t.s1 <- logxor t.s1 t.s2;
-  t.s0 <- logxor t.s0 t.s3;
-  t.s2 <- logxor t.s2 tmp;
-  t.s3 <- rotl t.s3 45;
+  let s0 = get t 0 and s1 = get t 1 and s2 = get t 2 and s3 = get t 3 in
+  let result = mul (rotl (mul s1 5L) 7) 9L in
+  let tmp = shift_left s1 17 in
+  let s2 = logxor s2 s0 in
+  let s3 = logxor s3 s1 in
+  let s1 = logxor s1 s2 in
+  let s0 = logxor s0 s3 in
+  set t 0 s0;
+  set t 1 s1;
+  set t 2 (logxor s2 tmp);
+  set t 3 (rotl s3 45);
   result
 
-let split t =
-  let state = ref (bits64 t) in
-  let s0 = splitmix_next state in
-  let s1 = splitmix_next state in
-  let s2 = splitmix_next state in
-  let s3 = splitmix_next state in
-  { s0; s1; s2; s3 }
+let bits64 t = next t
+let split t = of_splitmix (next t)
+let copy = Bytes.copy
 
-let copy t = { s0 = t.s0; s1 = t.s1; s2 = t.s2; s3 = t.s3 }
+let[@inline] top62 t = Int64.to_int (Int64.shift_right_logical (next t) 2)
 
 (* Uniform int in [0, n) by rejection on the top 62 bits, avoiding
    modulo bias. *)
 let int t n =
   if n <= 0 then invalid_arg "Prng.int: bound must be positive";
-  let mask = Int64.to_int (Int64.shift_right_logical (bits64 t) 2) in
   let bound = (max_int / n) * n in
-  let rec go v = if v < bound then v mod n else go (Int64.to_int (Int64.shift_right_logical (bits64 t) 2)) in
-  go mask
+  let v = ref (top62 t) in
+  while !v >= bound do
+    v := top62 t
+  done;
+  !v mod n
 
 let int_in t lo hi =
   if hi < lo then invalid_arg "Prng.int_in: empty range";
   lo + int t (hi - lo + 1)
 
-let float t x =
-  (* 53 random bits mapped to [0,1). *)
-  let u = Int64.to_float (Int64.shift_right_logical (bits64 t) 11) in
-  x *. (u *. 0x1p-53)
+(* 53 random bits mapped to [0,1). *)
+let[@inline] unit t =
+  Int64.to_float (Int64.shift_right_logical (next t) 11) *. 0x1p-53
 
-let bool t = Int64.logand (bits64 t) 1L = 1L
+let float t x = x *. unit t
 
-let rec gaussian ?(mu = 0.0) ?(sigma = 1.0) t =
-  let u = (2.0 *. float t 1.0) -. 1.0 in
-  let v = (2.0 *. float t 1.0) -. 1.0 in
-  let s = (u *. u) +. (v *. v) in
-  if s >= 1.0 || s = 0.0 then gaussian ~mu ~sigma t
-  else mu +. (sigma *. u *. sqrt (-2.0 *. log s /. s))
+let bool t = Int64.logand (next t) 1L = 1L
+
+(* Box–Muller, polar form: redraw the pair until it lies strictly inside
+   the unit disc, then scale. *)
+let[@inline] normal t mu sigma =
+  let u = ref 0.0 and s = ref 0.0 in
+  while
+    u := (2.0 *. unit t) -. 1.0;
+    let v = (2.0 *. unit t) -. 1.0 in
+    s := (!u *. !u) +. (v *. v);
+    !s >= 1.0 || !s = 0.0
+  do
+    ()
+  done;
+  mu +. (sigma *. !u *. sqrt (-2.0 *. log !s /. !s))
+
+let gaussian ?(mu = 0.0) ?(sigma = 1.0) t = normal t mu sigma
 
 let exponential t lambda =
   if lambda <= 0.0 then invalid_arg "Prng.exponential: rate must be positive";
-  -.log (1.0 -. float t 1.0) /. lambda
+  -.log (1.0 -. unit t) /. lambda
 
 let lognormal_factor t s =
-  if s <= 0.0 then 1.0
-  else exp (gaussian ~sigma:s t -. (s *. s /. 2.0))
+  if s <= 0.0 then 1.0 else exp (normal t 0.0 s -. (s *. s /. 2.0))
 
 type state = int64 * int64 * int64 * int64
 
-let state t = (t.s0, t.s1, t.s2, t.s3)
+let state t = (get t 0, get t 1, get t 2, get t 3)
 
 let set_state t (s0, s1, s2, s3) =
-  t.s0 <- s0;
-  t.s1 <- s1;
-  t.s2 <- s2;
-  t.s3 <- s3
+  set t 0 s0;
+  set t 1 s1;
+  set t 2 s2;
+  set t 3 s3

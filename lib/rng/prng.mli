@@ -2,7 +2,11 @@
 
     Implementation: xoshiro256** seeded through splitmix64. Deterministic
     for a given seed, so every experiment in the repository is exactly
-    reproducible. Not cryptographically secure. *)
+    reproducible. Not cryptographically secure.
+
+    A draw updates the state in place without allocating: {!int},
+    {!bool} and {!int_in} allocate nothing, and the float draws box
+    only the float they return. *)
 
 type t
 

@@ -81,9 +81,11 @@ let solve a b k =
       let p = m.(i).(i) in
       if Float.abs p > 1e-12 then m.(i).(k) /. p else nan)
 
-let coefficients t =
+(* The solved coefficients, cached until the next [observe]: callers
+   inside this module read them without a copy. *)
+let solved t =
   match t.cache with
-  | Some c -> Array.copy c
+  | Some c -> c
   | None ->
       let c =
         if t.n = 0 then Array.map (fun c -> c *. t.anchor_scale) t.init
@@ -107,12 +109,14 @@ let coefficients t =
         end
       in
       t.cache <- Some c;
-      Array.copy c
+      c
+
+let coefficients t = Array.copy (solved t)
 
 let predict t x =
   if Array.length x <> t.k then
     invalid_arg "Least_squares.predict: dimension mismatch";
-  let c = coefficients t in
+  let c = solved t in
   let acc = ref 0.0 in
   for i = 0 to t.k - 1 do
     acc := !acc +. (c.(i) *. x.(i))

@@ -3,10 +3,16 @@ module Event = Taqp_obs.Event
 
 type deadline_mode = [ `Abort | `Observe ]
 
-type kind = Virtual of { mutable t : float } | Wall of { start : float }
+type kind = Virtual | Wall
+
+(* All-float, so the record is stored flat: [charge] overwrites [vnow]
+   in place with no boxed float and no write barrier. [start] is the
+   wall clock's origin; a virtual clock ignores it. *)
+type times = { mutable vnow : float; start : float }
 
 type t = {
   kind : kind;
+  times : times;
   mutable deadline : float option;
   mutable mode : deadline_mode;
   mutable tracer : Tracer.t;
@@ -14,33 +20,30 @@ type t = {
 
 exception Deadline_exceeded of { now : float; deadline : float }
 
-let monotonic () = Unix.gettimeofday ()
+(* CLOCK_MONOTONIC: never steps backwards, unlike the time of day. *)
+let monotonic () = Int64.to_float (Monotonic_clock.now ()) *. 1e-9
 
-let create_virtual () =
+let create kind start =
   {
-    kind = Virtual { t = 0.0 };
+    kind;
+    times = { vnow = 0.0; start };
     deadline = None;
     mode = `Observe;
     tracer = Tracer.disabled;
   }
 
-let create_wall () =
-  {
-    kind = Wall { start = monotonic () };
-    deadline = None;
-    mode = `Observe;
-    tracer = Tracer.disabled;
-  }
+let create_virtual () = create Virtual 0.0
+let create_wall () = create Wall (monotonic ())
 
 let set_tracer t tracer = t.tracer <- tracer
 let tracer t = t.tracer
 
-let is_virtual t = match t.kind with Virtual _ -> true | Wall _ -> false
+let is_virtual t = match t.kind with Virtual -> true | Wall -> false
 
 let now t =
   match t.kind with
-  | Virtual v -> v.t
-  | Wall w -> monotonic () -. w.start
+  | Virtual -> t.times.vnow
+  | Wall -> monotonic () -. t.times.start
 
 (* The timer-interrupt service routine: stamp the abort on the trace at
    the exact clock value it fired at, then raise. Reading the clock for
@@ -59,15 +62,16 @@ let check_deadline t =
 let charge t dt =
   if dt < 0.0 then invalid_arg "Clock.charge: negative charge";
   match t.kind with
-  | Virtual v -> (
+  | Virtual -> (
+      let v = t.times in
       match (t.deadline, t.mode) with
-      | Some d, `Abort when v.t +. dt > d ->
+      | Some d, `Abort when v.vnow +. dt > d ->
           (* The timer interrupt fires mid-operation, exactly at the
              deadline: the remainder of the charge is never performed. *)
-          v.t <- d;
+          v.vnow <- d;
           abort t ~now:d ~deadline:d
-      | _, _ -> v.t <- v.t +. dt)
-  | Wall _ -> check_deadline t
+      | _, _ -> v.vnow <- v.vnow +. dt)
+  | Wall -> check_deadline t
 
 let arm t ~mode ~at =
   t.deadline <- Some at;
@@ -96,21 +100,22 @@ let expired t = match t.deadline with None -> false | Some d -> now t > d
 
 let sleep_until t at =
   match t.kind with
-  | Virtual v -> (
+  | Virtual -> (
+      let v = t.times in
       match (t.deadline, t.mode) with
-      | Some d, `Abort when v.t > d ->
+      | Some d, `Abort when v.vnow > d ->
           (* The deadline had already passed when the sleeper called in:
              the interrupt is pending, so it fires immediately — even
              for a zero-length (or backwards) sleep target, which would
              otherwise return without ever recording [deadline.abort]. *)
-          abort t ~now:v.t ~deadline:d
+          abort t ~now:v.vnow ~deadline:d
       | Some d, `Abort when at > d ->
           (* The interrupt fires while the process is asleep: wake at
              the deadline, not at [at]. *)
-          if d > v.t then v.t <- d;
-          abort t ~now:v.t ~deadline:d
-      | _, _ -> if at > v.t then v.t <- at)
-  | Wall _ ->
+          if d > v.vnow then v.vnow <- d;
+          abort t ~now:v.vnow ~deadline:d
+      | _, _ -> if at > v.vnow then v.vnow <- at)
+  | Wall ->
       while now t < at do
         ignore (Sys.opaque_identity ())
       done;
@@ -123,8 +128,8 @@ let sleep_until t at =
 
 let restore t ~now:at =
   match t.kind with
-  | Virtual v -> v.t <- at
-  | Wall _ -> invalid_arg "Clock.restore: wall clock cannot be restored"
+  | Virtual -> t.times.vnow <- at
+  | Wall -> invalid_arg "Clock.restore: wall clock cannot be restored"
 
 let restore_deadline t ~mode ~at =
   t.deadline <- Some at;

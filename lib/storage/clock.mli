@@ -25,8 +25,10 @@ val create_virtual : unit -> t
 (** A virtual clock starting at time 0.0. *)
 
 val create_wall : unit -> t
-(** A wall clock; [now] is seconds since creation. [charge] only
-    checks the deadline (wall time advances by itself). *)
+(** A wall clock; [now] is seconds since creation, read from the host's
+    monotonic clock, so it never runs backwards when the time of day is
+    stepped. [charge] only checks the deadline (wall time advances by
+    itself). *)
 
 val is_virtual : t -> bool
 

@@ -26,6 +26,21 @@ let test_value_equal_hash () =
     (Value.hash (Value.Int 5) = Value.hash (Value.Int 5));
   checkb "int/float equal implies hash equal" true
     (Value.hash (Value.Int 5) = Value.hash (Value.Float 5.0));
+  (* Pairs that compare equal without being the same value must still
+     hash alike: the signed zeros, two NaNs, and an int beyond 2^53 with
+     the float it rounds to. *)
+  List.iter
+    (fun (name, a, b) ->
+      checkb (name ^ " compare equal") true (Value.equal a b);
+      checkb (name ^ " hash equal") true (Value.hash a = Value.hash b))
+    [
+      ("-0.0/0", Value.Float (-0.0), Value.Int 0);
+      ("nan/nan", Value.Float Float.nan, Value.Float (-.Float.nan));
+      ( "2^53+1/2^53",
+        Value.Int ((1 lsl 53) + 1),
+        Value.Float (Float.of_int (1 lsl 53)) );
+      ("max_int", Value.Int max_int, Value.Float (Float.of_int max_int));
+    ];
   checkb "equal" true (Value.equal (Value.String "x") (Value.String "x"));
   checkb "not equal" false (Value.equal (Value.String "x") (Value.String "y"))
 

@@ -136,6 +136,61 @@ let prop_key_comparator_same_order =
       = sign (Ops.compare_with_key key t1 t2))
 
 (* ------------------------------------------------------------------ *)
+(* Array kernels                                                       *)
+
+let prop_filter_matches_list_filter =
+  QCheck.Test.make ~name:"Ops.filter = List.filter, same order" ~count:500
+    QCheck.(triple pairs_gen (int_bound 4) (pair small_nat small_nat))
+    (fun (pairs, cut, (a, b)) ->
+      let arr = tuples_of pairs in
+      let n = Array.length arr in
+      let lo = Int.min a n and hi = Int.min (a + b) n in
+      let test t = Value.compare (Tuple.get t 0) (Value.Int cut) < 0 in
+      let same got want =
+        Array.length got = List.length want
+        && List.for_all2 ( == ) (Array.to_list got) want
+      in
+      same (Ops.filter test arr) (List.filter test (Array.to_list arr))
+      && same
+           (Ops.filter ~lo ~hi test arr)
+           (List.filter test (Array.to_list (Array.sub arr lo (hi - lo)))))
+
+(* The stage sort moved from [Array.sort] (heapsort) to a stable merge
+   sort; on tuples with duplicate keys and duplicate rows both give the
+   same sequence, because the comparator orders on every field. *)
+let prop_sort_stage_matches_heapsort =
+  QCheck.Test.make ~name:"sort_stage = Array.sort under key_comparator"
+    ~count:500
+    QCheck.(
+      pair pairs_gen
+        (make Gen.(oneofl [ [| 0 |]; [| 1 |]; [| 1; 0 |]; [| 0; 1 |]; [||] ])))
+    (fun (pairs, key) ->
+      let arr = tuples_of pairs in
+      let old = Array.copy arr in
+      Array.sort (Ops.key_comparator ~arity:2 key) old;
+      Ops.sort_stage ~key arr = old)
+
+let test_hash_index_cross_type_group () =
+  let index = Ops.Hash_index.create ~key:[| 0 |] in
+  let older = Tuple.of_list [ Value.Float 3.0; Value.Int 1 ] in
+  let newer = Tuple.of_list [ Value.Float 3.0; Value.Int 2 ] in
+  let big = Tuple.of_list [ Value.Float (Float.of_int (1 lsl 53)); Value.Int 3 ] in
+  Ops.Hash_index.add index [| older; big |];
+  Ops.Hash_index.add index [| newer |];
+  checki "length" 3 (Ops.Hash_index.length index);
+  let found probe =
+    let out = ref [] in
+    Ops.Hash_index.probe ~probe_key:[| 0 |] index [| probe |]
+      ~emit:(fun ~indexed ~probe:_ -> out := indexed :: !out);
+    List.rev !out
+  in
+  checkb "Int 3 finds the Float 3.0 group, newest first" true
+    (found (Tuple.of_list [ Value.Int 3 ]) = [ newer; older ]);
+  checkb "Int 2^53+1 finds the Float 2^53 group" true
+    (found (Tuple.of_list [ Value.Int ((1 lsl 53) + 1) ]) = [ big ]);
+  checkb "Int 4 finds nothing" true (found (Tuple.of_list [ Value.Int 4 ]) = [])
+
+(* ------------------------------------------------------------------ *)
 (* Staged bit-identity across physical paths                           *)
 
 let run_fixed_stages ~physical ~stages ~f wl =
@@ -320,6 +375,13 @@ let () =
           Alcotest.test_case "cross-type numeric keys" `Quick
             test_cross_type_numeric_keys;
           QCheck_alcotest.to_alcotest prop_key_comparator_same_order;
+        ] );
+      ( "kernels",
+        [
+          QCheck_alcotest.to_alcotest prop_filter_matches_list_filter;
+          QCheck_alcotest.to_alcotest prop_sort_stage_matches_heapsort;
+          Alcotest.test_case "hash index cross-type group" `Quick
+            test_hash_index_cross_type_group;
         ] );
       ( "estimator-identity",
         [

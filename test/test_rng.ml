@@ -198,6 +198,95 @@ let test_choose () =
 (* ------------------------------------------------------------------ *)
 (* Zipf                                                                *)
 
+(* Golden streams: the draws the generator produced before its state
+   moved into a byte buffer, compared bit for bit (floats by their IEEE
+   bits), so any change to a stream fails here. *)
+let golden_draw name =
+  let fresh seed = Prng.create seed in
+  let split_child seed = Prng.split (Prng.create seed) in
+  let split_parent seed =
+    let r = Prng.create seed in
+    ignore (Prng.split r);
+    r
+  in
+  let bits f r = Int64.bits_of_float (f r) in
+  let int n r = Int64.of_int (Prng.int r n) in
+  match name with
+  | "bits64" -> (fresh, Prng.bits64)
+  | "int 7" -> (fresh, int 7)
+  | "int 1000000" -> (fresh, int 1_000_000)
+  | "int 2^61+1" -> (fresh, int ((1 lsl 61) + 1))
+  | "float 2.5" -> (fresh, bits (fun r -> Prng.float r 2.5))
+  | "gaussian mu=3 sigma=2" -> (fresh, bits (Prng.gaussian ~mu:3.0 ~sigma:2.0))
+  | "exponential 0.5" -> (fresh, bits (fun r -> Prng.exponential r 0.5))
+  | "lognormal_factor 0.06" ->
+      (fresh, bits (fun r -> Prng.lognormal_factor r 0.06))
+  | "split child" -> (split_child, Prng.bits64)
+  | "split parent" -> (split_parent, Prng.bits64)
+  | other -> Alcotest.failf "no golden stream named %S" other
+
+let test_golden_streams () =
+  checki "streams x seeds" 20 (List.length Prng_golden.streams);
+  List.iter
+    (fun (name, seed, expected) ->
+      let make, draw = golden_draw name in
+      let r = make seed in
+      Array.iteri
+        (fun i want ->
+          let got = draw r in
+          if got <> want then
+            Alcotest.failf "%s seed %d draw %d: got 0x%016Lx, want 0x%016Lx"
+              name seed i got want)
+        expected)
+    Prng_golden.streams
+
+let test_golden_state_round_trip () =
+  List.iter
+    (fun (seed, want) ->
+      let r = Prng.create seed in
+      for _ = 1 to 10 do
+        ignore (Prng.bits64 r)
+      done;
+      checkb "state after ten draws" true (Prng.state r = want);
+      let other = Prng.create (seed + 1) in
+      Prng.set_state other want;
+      let _, _, expected =
+        List.find
+          (fun (n, s, _) -> n = "bits64" && s = seed)
+          Prng_golden.streams
+      in
+      for i = 10 to 63 do
+        checkb "set_state resumes the stream" true
+          (Prng.bits64 other = expected.(i))
+      done)
+    [
+      (7, Prng_golden.state_after_10_seed_7);
+      (1989, Prng_golden.state_after_10_seed_1989);
+    ]
+
+(* Minor-heap words allocated per call, averaged over [n] calls. *)
+let words_per_call n f =
+  let before = Gc.minor_words () in
+  for _ = 1 to n do
+    f ()
+  done;
+  (Gc.minor_words () -. before) /. float_of_int n
+
+let test_draws_do_not_allocate () =
+  let rng = Prng.create 3 in
+  let int_words = words_per_call 10_000 (fun () -> ignore (Prng.int rng 1000)) in
+  checkb
+    (Printf.sprintf "Prng.int allocates nothing (%.3f words/call)" int_words)
+    true (int_words = 0.0);
+  let sink = ref 0.0 in
+  let jitter_words =
+    words_per_call 10_000 (fun () -> sink := Prng.lognormal_factor rng 0.06)
+  in
+  checkb
+    (Printf.sprintf "lognormal_factor boxes at most its result (%.3f words/call)"
+       jitter_words)
+    true (jitter_words <= 2.0)
+
 module Zipf = Taqp_rng.Zipf
 
 let test_zipf_pmf_normalized () =
@@ -258,6 +347,11 @@ let () =
           Alcotest.test_case "lognormal mean 1" `Quick test_lognormal_mean_one;
           QCheck_alcotest.to_alcotest prop_int_bounds;
           QCheck_alcotest.to_alcotest prop_float_bounds;
+          Alcotest.test_case "golden streams" `Quick test_golden_streams;
+          Alcotest.test_case "golden state round trip" `Quick
+            test_golden_state_round_trip;
+          Alcotest.test_case "draws do not allocate" `Quick
+            test_draws_do_not_allocate;
         ] );
       ( "sample",
         [

@@ -196,6 +196,22 @@ let test_clock_wall () =
   (* charging a wall clock does not jump time *)
   checkb "wall time unaffected by charge" true (Clock.now c -. t0 < 1.0)
 
+(* A virtual charge writes the time in place: no boxed float per call,
+   with or without an armed deadline. *)
+let test_clock_charge_no_alloc () =
+  let c = Clock.create_virtual () in
+  let words () =
+    let before = Gc.minor_words () in
+    for _ = 1 to 10_000 do
+      Clock.charge c 0.001
+    done;
+    Gc.minor_words () -. before
+  in
+  checkf 0.0 "unarmed charge allocates nothing" 0.0 (words ());
+  Clock.arm c ~mode:`Abort ~at:1e9;
+  checkf 0.0 "armed charge allocates nothing" 0.0 (words ());
+  checkf 1e-9 "time advanced" 20.0 (Clock.now c)
+
 (* ------------------------------------------------------------------ *)
 (* Cost params                                                         *)
 
@@ -502,6 +518,8 @@ let () =
           Alcotest.test_case "sleep_until abort traced" `Quick
             test_clock_sleep_until_abort_traced;
           Alcotest.test_case "wall clock" `Quick test_clock_wall;
+          Alcotest.test_case "virtual charge allocates nothing" `Quick
+            test_clock_charge_no_alloc;
         ] );
       ( "cost-params",
         [ Alcotest.test_case "scaling" `Quick test_cost_params ] );
