@@ -77,7 +77,7 @@ let strategies ?(trials = 100) () =
      either risk (large split) or stages/overhead (small split)@."
 
 (* ------------------------------------------------------------------ *)
-(* 2. Adaptive vs fixed-form cost formulas (Section 4)                 *)
+(* 2. Fitted (adaptive_cost) vs fixed-form cost formulas (Section 4)  *)
 
 let adaptive ?(trials = 100) () =
   pr_header "adaptive vs fixed cost formulas (selection, quota 10 s)";

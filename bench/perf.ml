@@ -1,6 +1,6 @@
 (* The physical-path performance report: drive Staged directly (no
    time-control loop, jitter-free device, fixed per-stage fraction) so
-   sort, hash and adaptive runs evaluate exactly the same sample at
+   sort and hash runs evaluate exactly the same sample at
    every stage, and dump per-query wall-clock and virtual-device costs
    to BENCH_perf.json — the machine-readable record of the hash path's
    late-stage advantage, for tracking across commits. *)
@@ -29,12 +29,7 @@ let workloads =
         ~group_size:3 ~seed:5 () );
   ]
 
-let modes =
-  [
-    ("sort", Config.Sort_merge);
-    ("hash", Config.Hash);
-    ("adaptive", Config.Adaptive);
-  ]
+let modes = [ ("sort", Config.Sort_merge); ("hash", Config.Hash) ]
 
 type run = {
   stages_run : int;
@@ -89,8 +84,8 @@ let run_json name (r : run) =
 let query_json ~stages ~f (name, wl) =
   let runs = List.map (fun (mn, p) -> (mn, run_staged ~physical:p ~stages ~f wl)) modes in
   let cost m = (List.assoc m runs).operator_virtual_seconds in
-  Fmt.pr "  %-16s sort %8.4fs  hash %8.4fs  adaptive %8.4fs  (virtual op cost, %d stages)@."
-    name (cost "sort") (cost "hash") (cost "adaptive") stages;
+  Fmt.pr "  %-16s sort %8.4fs  hash %8.4fs  (virtual op cost, %d stages)@."
+    name (cost "sort") (cost "hash") stages;
   Json.Obj
     [
       ("query", Json.Str name);
@@ -99,7 +94,7 @@ let query_json ~stages ~f (name, wl) =
     ]
 
 let write ?(path = "BENCH_perf.json") ?(stages = 6) ?(f = 0.05) () =
-  Fmt.pr "@.=== Physical-path perf (sort vs hash vs adaptive) ===@.";
+  Fmt.pr "@.=== Physical-path perf (sort vs hash) ===@.";
   let doc =
     Json.Obj
       [

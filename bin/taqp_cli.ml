@@ -104,6 +104,14 @@ let domains_arg =
            cost, trace, budget ledger — is bit-identical for every $(docv); \
            only wall-clock time changes. Defaults to $(b,TAQP_DOMAINS) or 1.")
 
+(* --physical sort|hash, shared by query/explain. *)
+let physical_arg ~doc =
+  Arg.(
+    value
+    & opt (enum [ ("sort", Config.Sort_merge); ("hash", Config.Hash) ])
+        Config.Sort_merge
+    & info [ "physical" ] ~docv:"PATH" ~doc)
+
 let load_catalog dir = Csv_io.load_dir dir
 
 let parse_query q =
@@ -289,24 +297,13 @@ let query_cmd =
              the overspend instead of aborting at the deadline.")
   in
   let physical_arg =
-    Arg.(
-      value
-      & opt
-          (enum
-             [
-               ("sort", Config.Sort_merge);
-               ("hash", Config.Hash);
-               ("adaptive", Config.Adaptive);
-             ])
-          Config.Sort_merge
-      & info [ "physical" ] ~docv:"PATH"
-          ~doc:
-            "Physical path for equi-key joins/intersections: $(b,sort) \
-             (sorted-file pairing merges, the paper's plan), $(b,hash) \
-             (retained per-side hash indexes, probed only with each stage's \
-             delta), or $(b,adaptive) (per operator per stage, whichever \
-             the fitted cost model predicts cheaper). The estimate is \
-             identical either way; only the evaluation cost changes.")
+    physical_arg
+      ~doc:
+        "Physical path for equi-key joins/intersections, fixed for the \
+         whole query: $(b,sort) (sorted-file pairing merges, the paper's \
+         plan) or $(b,hash) (retained per-side hash indexes, probed only \
+         with each stage's delta). The estimate is identical either way; \
+         only the evaluation cost changes."
   in
   let trace_arg =
     Arg.(
@@ -1021,19 +1018,7 @@ let explain_cmd =
              second went and how the cost model is drifting.")
   in
   let physical_arg =
-    Arg.(
-      value
-      & opt
-          (enum
-             [
-               ("sort", Config.Sort_merge);
-               ("hash", Config.Hash);
-               ("adaptive", Config.Adaptive);
-             ])
-          Config.Sort_merge
-      & info [ "physical" ] ~docv:"PATH"
-          ~doc:"Physical path for the audited run: $(b,sort), $(b,hash) or \
-                $(b,adaptive).")
+    physical_arg ~doc:"Physical path for the audited run: $(b,sort) or $(b,hash)."
   in
   let observe_arg =
     Arg.(

@@ -9,7 +9,7 @@ type projection_estimator = Goodman_unbiased | Goodman_first_order | Scale_up | 
 
 type variance_estimator = Srs_approximation | Cluster_exact
 
-type physical_operator = Sort_merge | Hash | Adaptive
+type physical_operator = Sort_merge | Hash
 
 type t = {
   strategy : Taqp_timecontrol.Strategy.t;
@@ -32,9 +32,10 @@ type t = {
 let no_initial_overrides =
   { select = None; join = None; intersect = None; project = None }
 
-(* TAQP_DOMAINS mirrors TAQP_PHYSICAL: an env override so a whole test
-   run can be re-executed under a different domain count without
-   touching call sites. Anything unparsable or < 1 falls back to 1. *)
+(* TAQP_DOMAINS: an env override so a whole test run can be re-executed
+   under a different domain count without touching call sites. The
+   test suites read TAQP_PHYSICAL themselves; the library never does.
+   Anything unparsable or < 1 falls back to 1. *)
 let domains_from_env () =
   match Sys.getenv_opt "TAQP_DOMAINS" with
   | None | Some "" -> 1

@@ -35,10 +35,10 @@ type variance_estimator =
           approximation. Also feeds the measured design effect back
           into the sel+ inflation. *)
 
-(** Physical evaluation path for equi-key Join and Intersect. Both
-    paths produce the same output multiset per stage, so the estimate,
-    variance and confidence interval are bit-identical; only the
-    evaluation cost differs. *)
+(** Physical evaluation path for equi-key Join and Intersect, fixed for
+    a query's whole life. Both paths produce the same output multiset
+    per stage, so the estimate, variance and confidence interval are
+    bit-identical; only the evaluation cost differs. *)
 type physical_operator =
   | Sort_merge
       (** the paper's Figure 4.4/4.5 plan: sort each stage's delta into
@@ -48,11 +48,6 @@ type physical_operator =
       (** retained per-side hash indexes: insert each delta once, probe
           only with the opposite side's delta (symmetric-hash order) —
           O(delta) per stage, no re-reading of old sample units *)
-  | Adaptive
-      (** pick per operator at each stage's plan time, whichever path
-          the fitted cost model predicts cheaper (switching cost — the
-          catch-up work to bring the other path's retained state
-          current — is included in the comparison) *)
 
 type t = {
   strategy : Taqp_timecontrol.Strategy.t;
@@ -86,8 +81,9 @@ type t = {
           engine's observable output — estimates, CIs, virtual costs,
           traces, ledgers — is bit-identical at every value; only wall
           time changes (see docs/PARALLELISM.md). [default] reads the
-          [TAQP_DOMAINS] env var (unset/invalid = 1), mirroring
-          [TAQP_PHYSICAL]. *)
+          [TAQP_DOMAINS] env var (unset/invalid = 1), so a whole test
+          run can be repeated at another domain count. The test suites
+          read [TAQP_PHYSICAL] themselves; the library never does. *)
 }
 
 val default : t

@@ -79,12 +79,12 @@ and kind =
     }
   | Binary_node of binary
 
-(* Both physical paths' retained state lives side by side: the raw
-   per-stage deltas are always kept (they are in memory regardless),
-   the sorted files and the hash indexes only as far as their path has
-   run — [files_*] may lag [deltas_*] under the hash path and
-   [hashed_*] may lag under the sort path, and whichever path runs
-   next catches its state up first (the priced switching cost). *)
+(* A query's physical path is fixed for its whole life, so only that
+   path's retained state grows: the raw per-stage deltas are always
+   kept (they are in memory regardless); the sorted files, one per
+   delta, only under [Sort_merge]; the hash indexes, over every delta,
+   only under [Hash] with full fulfillment (partial fulfillment builds
+   a transient index per stage). *)
 and binary = {
   op : [ `Join | `Intersect ];
   key_l : int array;
@@ -102,8 +102,6 @@ and binary = {
   mutable deltas_r : Tuple.t array list;
   hash_l : Ops.Hash_index.t;  (** retained index over [deltas_l] *)
   hash_r : Ops.Hash_index.t;
-  mutable hashed_l : int;  (** how many deltas are in [hash_l] *)
-  mutable hashed_r : int;
 }
 
 type term = {
@@ -220,8 +218,6 @@ let make_binary ~op ~key_l ~key_r ~residual ~residual_comparisons ~left ~right
     deltas_r = [];
     hash_l = Ops.Hash_index.create ~key:key_l;
     hash_r = Ops.Hash_index.create ~key:key_r;
-    hashed_l = 0;
-    hashed_r = 0;
   }
 
 let compile ?(aggregate = Aggregate.Count) ?cache ~catalog ~config ~rng
@@ -567,17 +563,13 @@ let predicted_scan_misses t scan ~f =
 
 (* Per-stage new/cumulative sizes used by the Figure 4.5 pairing cost:
    sizes of each side's retained deltas, oldest first, with the
-   predicted new file appended. Delta sizes — not [files_*] sizes —
-   because the sorted files may lag the deltas under the hash path. *)
+   predicted new file appended. *)
 let file_sizes files = List.map Array.length files
 
 let sum_lengths files =
   List.fold_left (fun acc a -> acc + Array.length a) 0 files
 
-let rec drop n l =
-  if n <= 0 then l else match l with [] -> [] | _ :: tl -> drop (n - 1) tl
-
-let choose_sel t node ~mode ~m_next =
+let choose_sel node ~mode ~m_next =
   let plain = Selectivity.estimate node.sel in
   let n_remaining = Float.max 0.0 (node.subtree_points -. node.cum_points) in
   let variance = Selectivity.variance_srs node.sel ~m_next ~n_remaining in
@@ -591,26 +583,15 @@ let choose_sel t node ~mode ~m_next =
     | Inflated { d_beta; zero_beta } ->
         Sel_plus.compute node.sel ~d_beta ~zero_beta ~m_next ~n_remaining
   in
-  ignore t;
   (used, plain, variance)
 
 (* ------------------------------------------------------------------ *)
-(* Physical-path costing, shared by planning, execution and the
-   adaptive selection so all three price exactly the same work. Every
-   builder is evaluated against the operator's retained state *before*
-   this stage's deltas are appended, with [nl]/[nr] the (predicted or
-   actual) delta sizes. *)
+(* Physical-path costing, shared by planning and execution so both
+   price exactly the same work. Every builder is evaluated against the
+   operator's retained state *before* this stage's deltas are appended,
+   with [nl]/[nr] the (predicted or actual) delta sizes. *)
 
 let is_full t = (t.config.plan : Plan.t).fulfillment = Plan.Full
-
-(* Deltas retained but not yet sorted into files (resp. inserted into
-   the hash indexes): the catch-up work a switch onto that path must
-   perform first, and therefore part of its price. *)
-let unsorted_deltas b =
-  ( drop (List.length b.files_l) b.deltas_l,
-    drop (List.length b.files_r) b.deltas_r )
-
-let unhashed_deltas b = (drop b.hashed_l b.deltas_l, drop b.hashed_r b.deltas_r)
 
 let binary_pairings t b =
   Fulfillment.pairings_at_stage
@@ -622,22 +603,6 @@ let sort_measures t ~node b ~nl ~nr ~out_new =
   let bf = bf_of_bytes ~block_bytes:t.block_bytes node.out_bytes in
   let bf_l = bf_of_bytes ~block_bytes:t.block_bytes b.left.out_bytes in
   let bf_r = bf_of_bytes ~block_bytes:t.block_bytes b.right.out_bytes in
-  let missing_l, missing_r = unsorted_deltas b in
-  let add_files side_bf files acc =
-    List.fold_left
-      (fun (ni, tp, nn) file ->
-        let n = float_of_int (Array.length file) in
-        (ni +. n, tp +. pages ~bf:side_bf n, nn +. xlog n))
-      acc files
-  in
-  let acc =
-    ( nl +. nr,
-      pages ~bf:bf_l nl +. pages ~bf:bf_r nr,
-      xlog nl +. xlog nr )
-  in
-  let n_input, temp_pages, nlogn =
-    add_files bf_r missing_r (add_files bf_l missing_l acc)
-  in
   let sizes_l = file_sizes b.deltas_l @ [ int_of_float nl ] in
   let sizes_r = file_sizes b.deltas_r @ [ int_of_float nr ] in
   let pairings = binary_pairings t b in
@@ -653,25 +618,21 @@ let sort_measures t ~node b ~nl ~nr ~out_new =
   in
   {
     Formulas.zero_measures with
-    Formulas.n_input;
-    temp_pages;
-    nlogn;
+    Formulas.n_input = nl +. nr;
+    temp_pages = pages ~bf:bf_l nl +. pages ~bf:bf_r nr;
+    nlogn = xlog nl +. xlog nr;
     merge_reads;
     out_tuples = out_new;
     out_pages = pages ~bf out_new;
     pairings = float_of_int (List.length pairings);
   }
 
-let hash_measures t ~node b ~nl ~nr ~out_new =
+let hash_measures t ~node ~nl ~nr ~out_new =
   let bf = bf_of_bytes ~block_bytes:t.block_bytes node.out_bytes in
+  (* Full fulfillment inserts and probes both deltas; partial builds a
+     transient index over the left delta and probes the right. *)
   let build_tuples, probe_tuples =
-    if is_full t then begin
-      let miss_l, miss_r = unhashed_deltas b in
-      let catch_up = float_of_int (sum_lengths miss_l + sum_lengths miss_r) in
-      (catch_up +. nl +. nr, nl +. nr)
-    end
-    else (* transient per-stage index: build left delta, probe right *)
-      (nl, nr)
+    if is_full t then (nl +. nr, nl +. nr) else (nl, nr)
   in
   {
     Formulas.zero_measures with
@@ -680,21 +641,6 @@ let hash_measures t ~node b ~nl ~nr ~out_new =
     out_tuples = out_new;
     out_pages = pages ~bf out_new;
   }
-
-let choose_path t ~node b ~nl ~nr ~out_guess =
-  match t.config.physical with
-  | Config.Sort_merge -> `Sort
-  | Config.Hash -> `Hash
-  | Config.Adaptive ->
-      let sort_cost =
-        Cost_model.predict t.cost_model ~id:node.id
-          (sort_measures t ~node b ~nl ~nr ~out_new:out_guess)
-      in
-      let hash_cost =
-        Cost_model.predict t.cost_model ~id:b.hash_id
-          (hash_measures t ~node b ~nl ~nr ~out_new:out_guess)
-      in
-      if hash_cost < sort_cost then `Hash else `Sort
 
 (* Returns (plans for this subtree, predicted new output tuples,
    cumulative output tuples so far). *)
@@ -706,7 +652,7 @@ let rec plan_node t ~f ~mode node : node_plan list * float * float =
   | Select_node { comparisons; child; _ } ->
       let plans, n_new, _ = plan_node t ~f ~mode child in
       let sel_used, sel_plain, sel_variance =
-        choose_sel t node ~mode ~m_next:n_new
+        choose_sel node ~mode ~m_next:n_new
       in
       let out_new = sel_used *. n_new in
       let measures =
@@ -735,7 +681,7 @@ let rec plan_node t ~f ~mode node : node_plan list * float * float =
   | Project_node { child; _ } ->
       let plans, n_new, _ = plan_node t ~f ~mode child in
       let sel_used, sel_plain, sel_variance =
-        choose_sel t node ~mode ~m_next:n_new
+        choose_sel node ~mode ~m_next:n_new
       in
       let out_new = sel_used *. n_new in
       let measures =
@@ -770,28 +716,28 @@ let rec plan_node t ~f ~mode node : node_plan list * float * float =
         if full then (nl *. (cum_r +. nr)) +. (cum_l *. nr) else nl *. nr
       in
       let sel_used, sel_plain, sel_variance =
-        choose_sel t node ~mode ~m_next:points_new
+        choose_sel node ~mode ~m_next:points_new
       in
       let out_new = sel_used *. points_new in
       (* Price whichever physical path will run: the plan entry carries
          that path's cost-model id, kind and measures, so QCOST and the
          executor's gradients see the work the stage will actually do. *)
       let plan_id, plan_kind, plan_measures =
-        match (choose_path t ~node b ~nl ~nr ~out_guess:out_new, b.op) with
-        | `Sort, `Join ->
+        match (t.config.physical, b.op) with
+        | Config.Sort_merge, `Join ->
             (node.id, Formulas.Join, sort_measures t ~node b ~nl ~nr ~out_new)
-        | `Sort, `Intersect ->
+        | Config.Sort_merge, `Intersect ->
             ( node.id,
               Formulas.Intersect,
               sort_measures t ~node b ~nl ~nr ~out_new )
-        | `Hash, `Join ->
+        | Config.Hash, `Join ->
             ( b.hash_id,
               Formulas.Hash_join,
-              hash_measures t ~node b ~nl ~nr ~out_new )
-        | `Hash, `Intersect ->
+              hash_measures t ~node ~nl ~nr ~out_new )
+        | Config.Hash, `Intersect ->
             ( b.hash_id,
               Formulas.Hash_intersect,
-              hash_measures t ~node b ~nl ~nr ~out_new )
+              hash_measures t ~node ~nl ~nr ~out_new )
       in
       ( plans_l @ plans_r
         @ [
@@ -904,6 +850,37 @@ let read_units t device scan unit_ids =
   scan.last_unit_deltas <- per_unit;
   (Array.concat per_unit, !misses)
 
+(* Step timing, shared by the scan and every operator evaluator: each
+   evaluation declares the Formulas steps it is fitted on, [timed]
+   adds the clock time of one piece of work to one of them, and
+   [observe_steps] then feeds each step's total, in declaration order,
+   to the cost model under the evaluation's final measures (an
+   operator's output size is known only once it has run). *)
+type steps = {
+  st_clock : Clock.t;
+  st_totals : (Formulas.step * float ref) list;  (** declaration order *)
+}
+
+let steps device declared =
+  {
+    st_clock = Device.clock device;
+    st_totals = List.map (fun step -> (step, ref 0.0)) declared;
+  }
+
+let timed st step f =
+  let total = List.assoc step st.st_totals in
+  let t0 = Clock.now st.st_clock in
+  let r = f () in
+  total := !total +. (Clock.now st.st_clock -. t0);
+  r
+
+let observe_steps t device st ~id m =
+  List.iter
+    (fun (step, total) ->
+      Cost_model.observe_step t.cost_model ~id ~step m
+        ~seconds:(Device.measure device !total))
+    st.st_totals
+
 let draw_and_scan t device ~f =
   let tracer = Device.tracer device in
   List.filter_map
@@ -917,22 +894,27 @@ let draw_and_scan t device ~f =
       end
       else begin
         let t0 = Clock.now (Device.clock device) in
-        let unit_ids =
-          match scan_cache t scan with
-          | Some c ->
-              let fresh =
-                Cache.prefix_units c ~file:scan.file ~kind:(cache_kind scan)
-                  ~lo:(Stage_set.drawn scan.units) ~k
+        let st = steps device Formulas.[ Step_read ] in
+        let unit_ids, tuples, misses =
+          timed st Formulas.Step_read (fun () ->
+              let unit_ids =
+                match scan_cache t scan with
+                | Some c ->
+                    let fresh =
+                      Cache.prefix_units c ~file:scan.file
+                        ~kind:(cache_kind scan)
+                        ~lo:(Stage_set.drawn scan.units) ~k
+                    in
+                    Stage_set.record_stage scan.units fresh;
+                    fresh
+                | None -> Stage_set.draw_stage scan.units ~k
               in
-              Stage_set.record_stage scan.units fresh;
-              fresh
-          | None -> Stage_set.draw_stage scan.units ~k
+              let tuples, misses = read_units t device scan unit_ids in
+              scan.last_delta <- tuples;
+              scan.stage_tuples <- Array.length tuples :: scan.stage_tuples;
+              scan.drawn_tuples <- scan.drawn_tuples + Array.length tuples;
+              (unit_ids, tuples, misses))
         in
-        let tuples, misses = read_units t device scan unit_ids in
-        scan.last_delta <- tuples;
-        scan.stage_tuples <- Array.length tuples :: scan.stage_tuples;
-        scan.drawn_tuples <- scan.drawn_tuples + Array.length tuples;
-        let t1 = Clock.now (Device.clock device) in
         if Tracer.enabled tracer then
           Tracer.complete tracer ~cat:"scan" ~begin_ts:t0
             ("scan:" ^ scan.relation)
@@ -945,13 +927,11 @@ let draw_and_scan t device ~f =
            fitted read rate stays the price of a *real* block read; on
            a cached run both the plan and the observation count only
            the residual reads a hit leaves to pay. *)
-        Cost_model.observe_step t.cost_model ~id:scan.scan_id
-          ~step:Formulas.Step_read
+        observe_steps t device st ~id:scan.scan_id
           {
             Formulas.zero_measures with
             Formulas.blocks = float_of_int misses;
-          }
-          ~seconds:(Device.measure device (t1 -. t0));
+          };
         Some (scan.relation, List.length unit_ids)
       end)
     t.scans
@@ -985,21 +965,417 @@ let node_label node =
   | Binary_node { op = `Join; _ } -> "join"
   | Binary_node { op = `Intersect; _ } -> "intersect"
 
-(* Evaluate a node's stage delta; children first, own work timed and
-   fed back to the cost model and selectivity records. [eval_node]
-   wraps the real evaluator in an operator-category span (children
-   recurse through the wrapper, so the span tree mirrors the operator
+(* The per-operator evaluators. Each takes its operands' stage deltas,
+   does and charges its own work, feeds its step times to the cost
+   model and its selectivity record, and returns its own stage delta. *)
+
+let node_bf t node = bf_of_bytes ~block_bytes:t.block_bytes node.out_bytes
+
+let charge_out t device node n =
+  Device.output_tuples device ~n;
+  Device.write_pages device
+    ~n:(int_of_float (pages ~bf:(node_bf t node) (float_of_int n)))
+
+let eval_select t device node ~comparisons ~test delta_in =
+  let st = steps device Formulas.[ Step_check; Step_output ] in
+  let out =
+    timed st Formulas.Step_check (fun () ->
+        Device.check_tuples device ~n:(Array.length delta_in) ~comparisons;
+        match t.pool with
+        | Some pool when Array.length delta_in >= !par_threshold ->
+            par_filter pool test delta_in
+        | _ -> Ops.filter test delta_in)
+  in
+  timed st Formulas.Step_output (fun () ->
+      charge_out t device node (Array.length out));
+  let n_in = float_of_int (Array.length delta_in) in
+  let n_out = float_of_int (Array.length out) in
+  Selectivity.observe node.sel ~points:n_in ~tuples:n_out;
+  node.cum_points <- node.cum_points +. n_in;
+  node.cum_out <- node.cum_out +. n_out;
+  observe_steps t device st ~id:node.id
+    {
+      Formulas.zero_measures with
+      Formulas.n_input = n_in;
+      comparisons = float_of_int comparisons;
+      out_tuples = n_out;
+      out_pages = pages ~bf:(node_bf t node) n_out;
+    };
+  out
+
+(* Figure 4.7 steps 1-3 on the new tuples. *)
+let eval_project t device node ~positions ~groups delta_in =
+  let bf = node_bf t node in
+  let n_in = Array.length delta_in in
+  let st =
+    steps device
+      Formulas.[ Step_write_temp; Step_sort; Step_check; Step_output ]
+  in
+  let projected =
+    timed st Formulas.Step_write_temp (fun () ->
+        let projected =
+          Array.map (fun tp -> Tuple.project tp positions) delta_in
+        in
+        Device.write_temp_tuples device ~n:n_in;
+        Device.write_pages device
+          ~n:(int_of_float (pages ~bf (float_of_int n_in)));
+        projected)
+  in
+  timed st Formulas.Step_sort (fun () -> Device.sort device ~n:n_in);
+  let fresh =
+    timed st Formulas.Step_check (fun () ->
+        Device.merge_tuples device ~n:n_in;
+        let fresh = ref [] in
+        Array.iter
+          (fun tp ->
+            match Hashtbl.find_opt groups tp with
+            | Some count -> incr count
+            | None ->
+                Hashtbl.replace groups tp (ref 1);
+                fresh := tp :: !fresh)
+          projected;
+        !fresh)
+  in
+  let out = Array.of_list (List.rev fresh) in
+  timed st Formulas.Step_output (fun () ->
+      charge_out t device node (Array.length out));
+  node.cum_points <- node.cum_points +. float_of_int n_in;
+  node.cum_out <- float_of_int (Hashtbl.length groups);
+  Selectivity.set_cumulative node.sel ~points:node.cum_points
+    ~tuples:node.cum_out;
+  observe_steps t device st ~id:node.id
+    {
+      Formulas.zero_measures with
+      Formulas.n_input = float_of_int n_in;
+      temp_pages = pages ~bf (float_of_int n_in);
+      nlogn = xlog (float_of_int n_in);
+      out_tuples = float_of_int (Array.length out);
+      out_pages = pages ~bf (float_of_int (Array.length out));
+    };
+  out
+
+(* Figure 4.4/4.6: temp-write and sort this stage's deltas into
+   retained files, then one merge pass per Figure 4.5 pairing. Measures
+   are taken before the retained state mutates so they match what
+   [sort_measures] promised the planner. *)
+let eval_sort_merge t device node b ~delta_l ~delta_r ~nl ~nr =
+  let m0 = sort_measures t ~node b ~nl ~nr ~out_new:0.0 in
+  let pairings = binary_pairings t b in
+  let st =
+    steps device
+      Formulas.[ Step_write_temp; Step_sort; Step_merge; Step_output ]
+  in
+  let write_side side arr =
+    Device.write_temp_tuples device ~n:(Array.length arr);
+    Device.write_pages device
+      ~n:
+        (int_of_float
+           (pages ~bf:(node_bf t side) (float_of_int (Array.length arr))))
+  in
+  timed st Formulas.Step_write_temp (fun () ->
+      write_side b.left delta_l;
+      write_side b.right delta_r);
+  let sort_with cmp arr =
+    Device.sort device ~n:(Array.length arr);
+    Ops.sorted_copy cmp arr
+  in
+  (* A delta sort goes through the shared cache when the side is a leaf
+     on the shared prefix: a hit charges one probe instead of the sort.
+     The runs are never mutated after this point, so sharing one array
+     across jobs is safe. *)
+  let sorted_delta side key cmp arr =
+    match leaf_slice t side arr with
+    | None -> sort_with cmp arr
+    | Some (c, scan, lo, hi) -> (
+        let kind = cache_kind scan in
+        match Cache.find_sorted_run c ~file:scan.file ~kind ~lo ~hi ~key with
+        | Some run ->
+            Device.cache_probe device;
+            run
+        | None ->
+            let s = sort_with cmp arr in
+            let p = Device.params device in
+            let fn = float_of_int (Array.length arr) in
+            Cache.store_sorted_run c ~file:scan.file ~kind ~lo ~hi ~key
+              ~cost:
+                ((p.Cost_params.sort_per_nlogn *. xlog fn)
+                +. (p.Cost_params.sort_per_tuple *. fn))
+              s;
+            s)
+  in
+  let sorted_l, sorted_r =
+    timed st Formulas.Step_sort (fun () ->
+        match t.pool with
+        | Some pool
+          when t.cache = None
+               && Array.length delta_l + Array.length delta_r
+                  >= !par_threshold ->
+            (* The two sorts are independent whole-array jobs, so they
+               fan out as-is, each making on one worker the same sorted
+               copy the sequential path makes. Charges are replayed up
+               front in the sequential call order; gated on no cache
+               because [sorted_delta] interleaves cache probes with the
+               charges. *)
+            Device.sort device ~n:(Array.length delta_l);
+            Device.sort device ~n:(Array.length delta_r);
+            let sorted =
+              Taqp_parallel.Pool.run pool
+                [|
+                  (fun () -> Ops.sorted_copy b.cmp_l delta_l);
+                  (fun () -> Ops.sorted_copy b.cmp_r delta_r);
+                |]
+            in
+            (sorted.(0), sorted.(1))
+        | _ ->
+            ( sorted_delta b.left b.key_l b.cmp_l delta_l,
+              sorted_delta b.right b.key_r b.cmp_r delta_r ))
+  in
+  b.files_l <- b.files_l @ [ sorted_l ];
+  b.files_r <- b.files_r @ [ sorted_r ];
+  let merge_reads = ref 0 in
+  let produced =
+    timed st Formulas.Step_merge (fun () ->
+        let file_at files i = List.nth files (i - 1) in
+        let out = ref [] in
+        let pair_files =
+          Array.of_list
+            (List.map
+               (fun (i, j) -> (file_at b.files_l i, file_at b.files_r j))
+               pairings)
+        in
+        let pair_tuples =
+          Array.fold_left
+            (fun acc (fl, fr) -> acc + Array.length fl + Array.length fr)
+            0 pair_files
+        in
+        (match t.pool with
+        | Some pool
+          when Array.length pair_files > 1 && pair_tuples >= !par_threshold ->
+            (* Each pairing merges on a worker with no device; the
+               master then replays the identical charge sequence —
+               merge_setup, merge_tuples |fl|+|fr|, one residual check
+               per candidate — in pairing order. The counted variants
+               report exactly how many candidate checks the sequential
+               merge would have charged. *)
+            let computed =
+              Taqp_parallel.Pool.run pool
+                (Array.map
+                   (fun (fl, fr) () ->
+                     match b.op with
+                     | `Join ->
+                         Ops.merge_join_counted ~key_l:b.key_l ~key_r:b.key_r
+                           ~residual:b.residual fl fr
+                     | `Intersect -> (Ops.merge_sorted_intersect fl fr, 0))
+                   pair_files)
+            in
+            Array.iteri
+              (fun idx (produced, candidates) ->
+                let fl, fr = pair_files.(idx) in
+                Device.merge_setup device;
+                merge_reads := !merge_reads + Array.length fl + Array.length fr;
+                Device.merge_tuples device
+                  ~n:(Array.length fl + Array.length fr);
+                for _ = 1 to candidates do
+                  Device.check_tuples device ~n:1
+                    ~comparisons:b.residual_comparisons
+                done;
+                out := List.rev_append produced !out)
+              computed
+        | _ ->
+            Array.iter
+              (fun (fl, fr) ->
+                Device.merge_setup device;
+                merge_reads := !merge_reads + Array.length fl + Array.length fr;
+                let produced =
+                  match b.op with
+                  | `Join ->
+                      Ops.merge_sorted_join ~device ~key_l:b.key_l
+                        ~key_r:b.key_r ~residual:b.residual
+                        ~residual_comparisons:b.residual_comparisons fl fr
+                  | `Intersect -> Ops.merge_sorted_intersect ~device fl fr
+                in
+                out := List.rev_append produced !out)
+              pair_files);
+        !out)
+  in
+  let out = Array.of_list (List.rev produced) in
+  timed st Formulas.Step_output (fun () ->
+      charge_out t device node (Array.length out));
+  let n_out = float_of_int (Array.length out) in
+  observe_steps t device st ~id:node.id
+    {
+      m0 with
+      Formulas.merge_reads = float_of_int !merge_reads;
+      out_tuples = n_out;
+      out_pages = pages ~bf:(node_bf t node) n_out;
+    };
+  out
+
+(* Incremental hash path: no temp files, no sorts, no re-reading of old
+   sample units. Under full fulfillment the symmetric-hash order — probe
+   the left delta against the old right index, insert it, probe the
+   right delta against the now-current left index, insert it — covers
+   exactly the full-fulfillment new point space nl*cum_r + cum_l*nr +
+   nl*nr. Build and probe time interleave, so each accumulates over its
+   pieces; both are observed into the hash path's own cost-model
+   node. *)
+let eval_hash t device node b ~delta_l ~delta_r ~nl ~nr =
+  let m0 = hash_measures t ~node ~nl ~nr ~out_new:0.0 in
+  let st =
+    steps device Formulas.[ Step_hash_build; Step_hash_probe; Step_output ]
+  in
+  let build f = timed st Formulas.Step_hash_build f in
+  let probe f = timed st Formulas.Step_hash_probe f in
+  let probe_with index ~probe_key ~indexed_side probes =
+    match t.pool with
+    | Some pool when Array.length probes >= !par_threshold ->
+        (* The index is read-only during a probe, so disjoint probe
+           chunks fan out; chunk outputs concatenate in chunk order =
+           probe order. The master replays the one hash_probe entry
+           charge plus the per-candidate checks the sequential probe
+           would have made. *)
+        let chunks =
+          Taqp_parallel.Pool.run pool
+            (Array.map
+               (fun (r : Taqp_parallel.Shard.range) () ->
+                 let sub = Array.sub probes r.lo (r.hi - r.lo) in
+                 match (b.op, indexed_side) with
+                 | `Join, _ ->
+                     Ops.probe_join_counted ~index ~probe_key ~indexed_side
+                       ~residual:b.residual sub
+                 | `Intersect, `Left ->
+                     (Ops.hash_probe_intersect ~index ~emit_side:`Indexed sub, 0)
+                 | `Intersect, `Right ->
+                     (Ops.hash_probe_intersect ~index ~emit_side:`Probe sub, 0))
+               (par_chunks pool (Array.length probes)))
+        in
+        Device.hash_probe device ~n:(Array.length probes);
+        Array.iter
+          (fun (_, candidates) ->
+            for _ = 1 to candidates do
+              Device.check_tuples device ~n:1
+                ~comparisons:b.residual_comparisons
+            done)
+          chunks;
+        List.concat_map fst (Array.to_list chunks)
+    | _ -> (
+        match (b.op, indexed_side) with
+        | `Join, _ ->
+            Ops.hash_probe_join ~device ~index ~probe_key ~indexed_side
+              ~residual:b.residual ~residual_comparisons:b.residual_comparisons
+              probes
+        | `Intersect, `Left ->
+            Ops.hash_probe_intersect ~device ~index ~emit_side:`Indexed probes
+        | `Intersect, `Right ->
+            Ops.hash_probe_intersect ~device ~index ~emit_side:`Probe probes)
+  in
+  let produced =
+    if is_full t then begin
+      let out_l =
+        probe (fun () ->
+            probe_with b.hash_r ~probe_key:b.key_l ~indexed_side:`Right delta_l)
+      in
+      build (fun () -> Ops.Hash_index.add ~device b.hash_l delta_l);
+      let out_r =
+        probe (fun () ->
+            probe_with b.hash_l ~probe_key:b.key_r ~indexed_side:`Left delta_r)
+      in
+      build (fun () -> Ops.Hash_index.add ~device b.hash_r delta_r);
+      List.rev_append (List.rev out_l) out_r
+    end
+    else begin
+      (* Partial fulfillment evaluates only delta x delta: a transient
+         index, nothing retained by the node — but shared-cacheable
+         when the left side is a leaf on the shared prefix, since any
+         job staging the same slice builds the identical index. Cached
+         indexes are only ever probed, never added to. *)
+      let fresh_index () =
+        let index = Ops.Hash_index.create ~key:b.key_l in
+        build (fun () -> Ops.Hash_index.add ~device index delta_l);
+        index
+      in
+      let index =
+        match leaf_slice t b.left delta_l with
+        | None -> fresh_index ()
+        | Some (c, scan, lo, hi) -> (
+            let kind = cache_kind scan in
+            match
+              Cache.find_hash_index c ~file:scan.file ~kind ~lo ~hi
+                ~key:b.key_l
+            with
+            | Some index ->
+                build (fun () -> Device.cache_probe device);
+                index
+            | None ->
+                let index = fresh_index () in
+                let p = Device.params device in
+                Cache.store_hash_index c ~file:scan.file ~kind ~lo ~hi
+                  ~key:b.key_l
+                  ~cost:
+                    (float_of_int (Array.length delta_l)
+                    *. p.Cost_params.hash_build_per_tuple)
+                  index;
+                index)
+      in
+      probe (fun () ->
+          probe_with index ~probe_key:b.key_r ~indexed_side:`Left delta_r)
+    end
+  in
+  let out = Array.of_list produced in
+  timed st Formulas.Step_output (fun () ->
+      charge_out t device node (Array.length out));
+  let n_out = float_of_int (Array.length out) in
+  observe_steps t device st ~id:b.hash_id
+    {
+      m0 with
+      Formulas.out_tuples = n_out;
+      out_pages = pages ~bf:(node_bf t node) n_out;
+    };
+  out
+
+(* The logical half of a binary node, common to both physical paths:
+   the new point space this stage adds under the node, the retained
+   deltas, and the selectivity record. *)
+let eval_binary t device node b ~delta_l ~delta_r =
+  let cum_l_prev = sum_lengths b.deltas_l in
+  let cum_r_prev = sum_lengths b.deltas_r in
+  let nl = float_of_int (Array.length delta_l) in
+  let nr = float_of_int (Array.length delta_r) in
+  let points_new =
+    if is_full t then
+      (nl *. float_of_int cum_r_prev)
+      +. (float_of_int cum_l_prev *. nr)
+      +. (nl *. nr)
+    else nl *. nr
+  in
+  let out =
+    match t.config.physical with
+    | Config.Sort_merge ->
+        eval_sort_merge t device node b ~delta_l ~delta_r ~nl ~nr
+    | Config.Hash -> eval_hash t device node b ~delta_l ~delta_r ~nl ~nr
+  in
+  b.deltas_l <- b.deltas_l @ [ delta_l ];
+  b.deltas_r <- b.deltas_r @ [ delta_r ];
+  let n_out = float_of_int (Array.length out) in
+  Selectivity.observe node.sel ~points:points_new ~tuples:n_out;
+  node.cum_points <- node.cum_points +. points_new;
+  node.cum_out <- node.cum_out +. n_out;
+  out
+
+(* Evaluate a node's stage delta, children first. When tracing, each
+   node's evaluation is wrapped in an operator-category span (children
+   recurse through [eval_node], so the span tree mirrors the operator
    tree); tuples-in is the number of sample-space points this stage
    added under the node, tuples-out the delta it produced. *)
 let rec eval_node t device node : Tuple.t array =
   let tracer = Device.tracer device in
-  if not (Tracer.enabled tracer) then eval_node_body t device node
+  if not (Tracer.enabled tracer) then eval_operator t device node
   else begin
     let label = node_label node in
     let points_before = node.cum_points in
     Tracer.span_begin tracer ~cat:"operator" label
       ~args:[ ("node", Event.Int node.id) ];
-    match eval_node_body t device node with
+    match eval_operator t device node with
     | out ->
         Tracer.span_end tracer ~cat:"operator" label
           ~args:
@@ -1016,13 +1392,7 @@ let rec eval_node t device node : Tuple.t array =
         raise e
   end
 
-and eval_node_body t device node : Tuple.t array =
-  let clock = Device.clock device in
-  let bf = bf_of_bytes ~block_bytes:t.block_bytes node.out_bytes in
-  let charge_out n =
-    Device.output_tuples device ~n;
-    Device.write_pages device ~n:(int_of_float (pages ~bf (float_of_int n)))
-  in
+and eval_operator t device node =
   match node.kind with
   | Leaf scan ->
       let n = float_of_int (Array.length scan.last_delta) in
@@ -1030,461 +1400,13 @@ and eval_node_body t device node : Tuple.t array =
       node.cum_points <- node.cum_points +. n;
       scan.last_delta
   | Select_node { comparisons; test; child } ->
-      let delta_in = eval_node t device child in
-      let t0 = Clock.now clock in
-      Device.check_tuples device ~n:(Array.length delta_in) ~comparisons;
-      let out =
-        match t.pool with
-        | Some pool when Array.length delta_in >= !par_threshold ->
-            par_filter pool test delta_in
-        | _ -> Ops.filter test delta_in
-      in
-      let t1 = Clock.now clock in
-      charge_out (Array.length out);
-      let t2 = Clock.now clock in
-      let n_in = float_of_int (Array.length delta_in) in
-      let n_out = float_of_int (Array.length out) in
-      Selectivity.observe node.sel ~points:n_in ~tuples:n_out;
-      node.cum_points <- node.cum_points +. n_in;
-      node.cum_out <- node.cum_out +. n_out;
-      let m =
-        {
-          Formulas.zero_measures with
-          Formulas.n_input = n_in;
-          comparisons = float_of_int comparisons;
-          out_tuples = n_out;
-          out_pages = pages ~bf n_out;
-        }
-      in
-      Cost_model.observe_step t.cost_model ~id:node.id ~step:Formulas.Step_check
-        m ~seconds:(Device.measure device (t1 -. t0));
-      Cost_model.observe_step t.cost_model ~id:node.id ~step:Formulas.Step_output
-        m ~seconds:(Device.measure device (t2 -. t1));
-      out
+      eval_select t device node ~comparisons ~test (eval_node t device child)
   | Project_node { positions; child; groups; _ } ->
-      let delta_in = eval_node t device child in
-      let t0 = Clock.now clock in
-      let n_in = Array.length delta_in in
-      (* Figure 4.7 steps 1-3 on the new tuples. *)
-      let projected = Array.map (fun tp -> Tuple.project tp positions) delta_in in
-      Device.write_temp_tuples device ~n:n_in;
-      Device.write_pages device ~n:(int_of_float (pages ~bf (float_of_int n_in)));
-      let t1 = Clock.now clock in
-      Device.sort device ~n:n_in;
-      let t2 = Clock.now clock in
-      Device.merge_tuples device ~n:n_in;
-      let fresh = ref [] in
-      Array.iter
-        (fun tp ->
-          match Hashtbl.find_opt groups tp with
-          | Some count -> incr count
-          | None ->
-              Hashtbl.replace groups tp (ref 1);
-              fresh := tp :: !fresh)
-        projected;
-      let t3 = Clock.now clock in
-      let out = Array.of_list (List.rev !fresh) in
-      charge_out (Array.length out);
-      let t4 = Clock.now clock in
-      node.cum_points <- node.cum_points +. float_of_int n_in;
-      node.cum_out <- float_of_int (Hashtbl.length groups);
-      Selectivity.set_cumulative node.sel ~points:node.cum_points
-        ~tuples:node.cum_out;
-      let m =
-        {
-          Formulas.zero_measures with
-          Formulas.n_input = float_of_int n_in;
-          temp_pages = pages ~bf (float_of_int n_in);
-          nlogn = xlog (float_of_int n_in);
-          out_tuples = float_of_int (Array.length out);
-          out_pages = pages ~bf (float_of_int (Array.length out));
-        }
-      in
-      let ob step seconds =
-        Cost_model.observe_step t.cost_model ~id:node.id ~step m
-          ~seconds:(Device.measure device seconds)
-      in
-      ob Formulas.Step_write_temp (t1 -. t0);
-      ob Formulas.Step_sort (t2 -. t1);
-      ob Formulas.Step_check (t3 -. t2);
-      ob Formulas.Step_output (t4 -. t3);
-      out
+      eval_project t device node ~positions ~groups (eval_node t device child)
   | Binary_node b ->
       let delta_l = eval_node t device b.left in
       let delta_r = eval_node t device b.right in
-      let cum_l_prev = sum_lengths b.deltas_l in
-      let cum_r_prev = sum_lengths b.deltas_r in
-      let nl = float_of_int (Array.length delta_l) in
-      let nr = float_of_int (Array.length delta_r) in
-      let full = is_full t in
-      let points_new =
-        if full then
-          (nl *. float_of_int cum_r_prev)
-          +. (float_of_int cum_l_prev *. nr)
-          +. (nl *. nr)
-        else nl *. nr
-      in
-      let out_guess =
-        Float.max 0.0 (Selectivity.estimate node.sel *. points_new)
-      in
-      let path = choose_path t ~node b ~nl ~nr ~out_guess in
-      let out =
-        match path with
-        | `Sort ->
-            (* Figure 4.4/4.6: temp-write and sort this stage's deltas
-               (plus any deltas a hash stage left unsorted — catch-up),
-               then one merge pass per Figure 4.5 pairing. Measures are
-               taken before the retained state mutates so they match
-               what [sort_measures] promised the planner. *)
-            let m0 = sort_measures t ~node b ~nl ~nr ~out_new:0.0 in
-            let pairings = binary_pairings t b in
-            let bf_l = bf_of_bytes ~block_bytes:t.block_bytes b.left.out_bytes in
-            let bf_r = bf_of_bytes ~block_bytes:t.block_bytes b.right.out_bytes in
-            let missing_l, missing_r = unsorted_deltas b in
-            let t0 = Clock.now clock in
-            let write_side side_bf arr =
-              Device.write_temp_tuples device ~n:(Array.length arr);
-              Device.write_pages device
-                ~n:
-                  (int_of_float
-                     (pages ~bf:side_bf (float_of_int (Array.length arr))))
-            in
-            List.iter (write_side bf_l) missing_l;
-            List.iter (write_side bf_r) missing_r;
-            write_side bf_l delta_l;
-            write_side bf_r delta_r;
-            let t1 = Clock.now clock in
-            let sort_with cmp arr =
-              Device.sort device ~n:(Array.length arr);
-              Ops.sorted_copy cmp arr
-            in
-            (* This stage's delta sorts go through the shared cache
-               when the side is a leaf on the shared prefix: a hit
-               charges one probe instead of the sort. Catch-up sorts of
-               older deltas keep the plain path — their slices are
-               job-specific. The runs are never mutated after this
-               point, so sharing one array across jobs is safe. *)
-            let sorted_delta side key cmp arr =
-              match leaf_slice t side arr with
-              | None -> sort_with cmp arr
-              | Some (c, scan, lo, hi) -> (
-                  let kind = cache_kind scan in
-                  match
-                    Cache.find_sorted_run c ~file:scan.file ~kind ~lo ~hi ~key
-                  with
-                  | Some run ->
-                      Device.cache_probe device;
-                      run
-                  | None ->
-                      let s = sort_with cmp arr in
-                      let p = Device.params device in
-                      let fn = float_of_int (Array.length arr) in
-                      Cache.store_sorted_run c ~file:scan.file ~kind ~lo ~hi
-                        ~key
-                        ~cost:
-                          ((p.Cost_params.sort_per_nlogn *. xlog fn)
-                          +. (p.Cost_params.sort_per_tuple *. fn))
-                        s;
-                      s)
-            in
-            let sorted_l, sorted_r =
-              let sort_tuples =
-                List.fold_left
-                  (fun acc a -> acc + Array.length a)
-                  (Array.length delta_l + Array.length delta_r)
-                  (missing_l @ missing_r)
-              in
-              match t.pool with
-              | Some pool when t.cache = None && sort_tuples >= !par_threshold ->
-                  (* The sorts are independent whole-array jobs, so they
-                     fan out as-is, each making on one worker the same
-                     sorted copy the sequential path makes. Charges are
-                     replayed up front in the sequential call order;
-                     gated on no cache because [sorted_delta] interleaves
-                     cache probes with the charges. *)
-                  let jobs =
-                    Array.concat
-                      [
-                        Array.of_list
-                          (List.map (fun a -> (b.cmp_l, a)) missing_l);
-                        Array.of_list
-                          (List.map (fun a -> (b.cmp_r, a)) missing_r);
-                        [| (b.cmp_l, delta_l); (b.cmp_r, delta_r) |];
-                      ]
-                  in
-                  Array.iter
-                    (fun (_, a) -> Device.sort device ~n:(Array.length a))
-                    jobs;
-                  let sorted =
-                    Taqp_parallel.Pool.run pool
-                      (Array.map
-                         (fun (cmp, a) () -> Ops.sorted_copy cmp a)
-                         jobs)
-                  in
-                  let n_ml = List.length missing_l in
-                  let n_mr = List.length missing_r in
-                  b.files_l <-
-                    b.files_l @ Array.to_list (Array.sub sorted 0 n_ml);
-                  b.files_r <-
-                    b.files_r @ Array.to_list (Array.sub sorted n_ml n_mr);
-                  (sorted.(n_ml + n_mr), sorted.(n_ml + n_mr + 1))
-              | _ ->
-                  b.files_l <- b.files_l @ List.map (sort_with b.cmp_l) missing_l;
-                  b.files_r <- b.files_r @ List.map (sort_with b.cmp_r) missing_r;
-                  ( sorted_delta b.left b.key_l b.cmp_l delta_l,
-                    sorted_delta b.right b.key_r b.cmp_r delta_r )
-            in
-            let t2 = Clock.now clock in
-            b.files_l <- b.files_l @ [ sorted_l ];
-            b.files_r <- b.files_r @ [ sorted_r ];
-            let file_at files i = List.nth files (i - 1) in
-            let out = ref [] in
-            let merge_reads = ref 0 in
-            let pair_files =
-              Array.of_list
-                (List.map
-                   (fun (i, j) -> (file_at b.files_l i, file_at b.files_r j))
-                   pairings)
-            in
-            let pair_tuples =
-              Array.fold_left
-                (fun acc (fl, fr) -> acc + Array.length fl + Array.length fr)
-                0 pair_files
-            in
-            (match t.pool with
-            | Some pool
-              when Array.length pair_files > 1 && pair_tuples >= !par_threshold
-              ->
-                (* Each pairing merges on a worker with no device; the
-                   master then replays the identical charge sequence —
-                   merge_setup, merge_tuples |fl|+|fr|, one residual
-                   check per candidate — in pairing order. The counted
-                   variants report exactly how many candidate checks
-                   the sequential merge would have charged. *)
-                let computed =
-                  Taqp_parallel.Pool.run pool
-                    (Array.map
-                       (fun (fl, fr) () ->
-                         match b.op with
-                         | `Join ->
-                             Ops.merge_join_counted ~key_l:b.key_l
-                               ~key_r:b.key_r ~residual:b.residual fl fr
-                         | `Intersect ->
-                             (Ops.merge_sorted_intersect fl fr, 0))
-                       pair_files)
-                in
-                Array.iteri
-                  (fun idx (produced, candidates) ->
-                    let fl, fr = pair_files.(idx) in
-                    Device.merge_setup device;
-                    merge_reads :=
-                      !merge_reads + Array.length fl + Array.length fr;
-                    Device.merge_tuples device
-                      ~n:(Array.length fl + Array.length fr);
-                    for _ = 1 to candidates do
-                      Device.check_tuples device ~n:1
-                        ~comparisons:b.residual_comparisons
-                    done;
-                    out := List.rev_append produced !out)
-                  computed
-            | _ ->
-                Array.iter
-                  (fun (fl, fr) ->
-                    Device.merge_setup device;
-                    merge_reads :=
-                      !merge_reads + Array.length fl + Array.length fr;
-                    let produced =
-                      match b.op with
-                      | `Join ->
-                          Ops.merge_sorted_join ~device ~key_l:b.key_l
-                            ~key_r:b.key_r ~residual:b.residual
-                            ~residual_comparisons:b.residual_comparisons fl fr
-                      | `Intersect -> Ops.merge_sorted_intersect ~device fl fr
-                    in
-                    out := List.rev_append produced !out)
-                  pair_files);
-            let t3 = Clock.now clock in
-            let out = Array.of_list (List.rev !out) in
-            charge_out (Array.length out);
-            let t4 = Clock.now clock in
-            let n_out = float_of_int (Array.length out) in
-            let m =
-              {
-                m0 with
-                Formulas.merge_reads = float_of_int !merge_reads;
-                out_tuples = n_out;
-                out_pages = pages ~bf n_out;
-              }
-            in
-            let ob step seconds =
-              Cost_model.observe_step t.cost_model ~id:node.id ~step m
-                ~seconds:(Device.measure device seconds)
-            in
-            ob Formulas.Step_write_temp (t1 -. t0);
-            ob Formulas.Step_sort (t2 -. t1);
-            ob Formulas.Step_merge (t3 -. t2);
-            ob Formulas.Step_output (t4 -. t3);
-            out
-        | `Hash ->
-            (* Incremental hash path: no temp files, no sorts, no
-               re-reading of old sample units. Under full fulfillment
-               the symmetric-hash order — probe the left delta against
-               the old right index, insert it, probe the right delta
-               against the now-current left index, insert it — covers
-               exactly the full-fulfillment new point space
-               nl*cum_r + cum_l*nr + nl*nr. Build and probe time are
-               accumulated separately (they interleave) and observed
-               into the hash path's own cost-model node. *)
-            let m0 = hash_measures t ~node b ~nl ~nr ~out_new:0.0 in
-            let build_s = ref 0.0 and probe_s = ref 0.0 in
-            let timed acc f =
-              let s = Clock.now clock in
-              let r = f () in
-              acc := !acc +. (Clock.now clock -. s);
-              r
-            in
-            let probe_with index ~probe_key ~indexed_side probes =
-              match t.pool with
-              | Some pool when Array.length probes >= !par_threshold ->
-                  (* The index is read-only during a probe, so disjoint
-                     probe chunks fan out; chunk outputs concatenate in
-                     chunk order = probe order. The master replays the
-                     one hash_probe entry charge plus the per-candidate
-                     checks the sequential probe would have made. *)
-                  let chunks =
-                    Taqp_parallel.Pool.run pool
-                      (Array.map
-                         (fun (r : Taqp_parallel.Shard.range) () ->
-                           let sub =
-                             Array.sub probes r.lo (r.hi - r.lo)
-                           in
-                           match (b.op, indexed_side) with
-                           | `Join, _ ->
-                               Ops.probe_join_counted ~index ~probe_key
-                                 ~indexed_side ~residual:b.residual sub
-                           | `Intersect, `Left ->
-                               ( Ops.hash_probe_intersect ~index
-                                   ~emit_side:`Indexed sub,
-                                 0 )
-                           | `Intersect, `Right ->
-                               ( Ops.hash_probe_intersect ~index
-                                   ~emit_side:`Probe sub,
-                                 0 ))
-                         (par_chunks pool (Array.length probes)))
-                  in
-                  Device.hash_probe device ~n:(Array.length probes);
-                  Array.iter
-                    (fun (_, candidates) ->
-                      for _ = 1 to candidates do
-                        Device.check_tuples device ~n:1
-                          ~comparisons:b.residual_comparisons
-                      done)
-                    chunks;
-                  List.concat_map fst (Array.to_list chunks)
-              | _ -> (
-                  match (b.op, indexed_side) with
-                  | `Join, _ ->
-                      Ops.hash_probe_join ~device ~index ~probe_key
-                        ~indexed_side ~residual:b.residual
-                        ~residual_comparisons:b.residual_comparisons probes
-                  | `Intersect, `Left ->
-                      Ops.hash_probe_intersect ~device ~index
-                        ~emit_side:`Indexed probes
-                  | `Intersect, `Right ->
-                      Ops.hash_probe_intersect ~device ~index
-                        ~emit_side:`Probe probes)
-            in
-            let produced =
-              if full then begin
-                let miss_l, miss_r = unhashed_deltas b in
-                timed build_s (fun () ->
-                    List.iter (Ops.Hash_index.add ~device b.hash_l) miss_l;
-                    List.iter (Ops.Hash_index.add ~device b.hash_r) miss_r);
-                b.hashed_l <- List.length b.deltas_l;
-                b.hashed_r <- List.length b.deltas_r;
-                let out_l =
-                  timed probe_s (fun () ->
-                      probe_with b.hash_r ~probe_key:b.key_l
-                        ~indexed_side:`Right delta_l)
-                in
-                timed build_s (fun () ->
-                    Ops.Hash_index.add ~device b.hash_l delta_l);
-                b.hashed_l <- b.hashed_l + 1;
-                let out_r =
-                  timed probe_s (fun () ->
-                      probe_with b.hash_l ~probe_key:b.key_r ~indexed_side:`Left
-                        delta_r)
-                in
-                timed build_s (fun () ->
-                    Ops.Hash_index.add ~device b.hash_r delta_r);
-                b.hashed_r <- b.hashed_r + 1;
-                List.rev_append (List.rev out_l) out_r
-              end
-              else begin
-                (* Partial fulfillment evaluates only delta x delta: a
-                   transient index, nothing retained by the node — but
-                   shared-cacheable when the left side is a leaf on the
-                   shared prefix, since any job staging the same slice
-                   builds the identical index. Cached indexes are only
-                   ever probed, never added to. *)
-                let index =
-                  match leaf_slice t b.left delta_l with
-                  | None ->
-                      let index = Ops.Hash_index.create ~key:b.key_l in
-                      timed build_s (fun () ->
-                          Ops.Hash_index.add ~device index delta_l);
-                      index
-                  | Some (c, scan, lo, hi) -> (
-                      let kind = cache_kind scan in
-                      match
-                        Cache.find_hash_index c ~file:scan.file ~kind ~lo ~hi
-                          ~key:b.key_l
-                      with
-                      | Some index ->
-                          timed build_s (fun () -> Device.cache_probe device);
-                          index
-                      | None ->
-                          let index = Ops.Hash_index.create ~key:b.key_l in
-                          timed build_s (fun () ->
-                              Ops.Hash_index.add ~device index delta_l);
-                          let p = Device.params device in
-                          Cache.store_hash_index c ~file:scan.file ~kind ~lo
-                            ~hi ~key:b.key_l
-                            ~cost:
-                              (float_of_int (Array.length delta_l)
-                              *. p.Cost_params.hash_build_per_tuple)
-                            index;
-                          index)
-                in
-                timed probe_s (fun () ->
-                    probe_with index ~probe_key:b.key_r ~indexed_side:`Left
-                      delta_r)
-              end
-            in
-            let out = Array.of_list produced in
-            let t_o0 = Clock.now clock in
-            charge_out (Array.length out);
-            let t_o1 = Clock.now clock in
-            let n_out = float_of_int (Array.length out) in
-            let m =
-              { m0 with Formulas.out_tuples = n_out; out_pages = pages ~bf n_out }
-            in
-            let ob step seconds =
-              Cost_model.observe_step t.cost_model ~id:b.hash_id ~step m
-                ~seconds:(Device.measure device seconds)
-            in
-            ob Formulas.Step_hash_build !build_s;
-            ob Formulas.Step_hash_probe !probe_s;
-            ob Formulas.Step_output (t_o1 -. t_o0);
-            out
-      in
-      b.deltas_l <- b.deltas_l @ [ delta_l ];
-      b.deltas_r <- b.deltas_r @ [ delta_r ];
-      let n_out = float_of_int (Array.length out) in
-      Selectivity.observe node.sel ~points:points_new ~tuples:n_out;
-      node.cum_points <- node.cum_points +. points_new;
-      node.cum_out <- node.cum_out +. n_out;
-      out
+      eval_binary t device node b ~delta_l ~delta_r
 
 (* ------------------------------------------------------------------ *)
 (* Estimation                                                          *)
@@ -1765,9 +1687,11 @@ let run_stage t ~device ~f =
    moments — as plain data, and restore it into a {e freshly compiled}
    instance of the same query. Derived structures that are pure
    functions of the retained deltas (sorted files, hash indexes) are
-   rebuilt rather than serialized: re-sorting the same arrays with the
-   same comparators and re-inserting the same deltas in the same order
-   reproduces them bit-for-bit, at a fraction of the journal bytes. *)
+   rebuilt rather than serialized: the physical path is fixed per
+   query, so the config says which of them exist, and re-sorting the
+   same arrays with the same comparators and re-inserting the same
+   deltas in the same order reproduces them bit-for-bit, at a fraction
+   of the journal bytes. *)
 
 type scan_snapshot = {
   sn_relation : string;
@@ -1799,10 +1723,6 @@ and node_kind_state =
       nb_right : node_state;
       nb_deltas_l : Tuple.t array list;  (** oldest first, raw *)
       nb_deltas_r : Tuple.t array list;
-      nb_files_l : int;  (** how many deltas had been sorted into files *)
-      nb_files_r : int;
-      nb_hashed_l : int;  (** how many deltas were in the hash index *)
-      nb_hashed_r : int;
     }
 
 type term_snapshot = {
@@ -1836,10 +1756,6 @@ let rec snapshot_state node =
             nb_right = snapshot_state b.right;
             nb_deltas_l = b.deltas_l;
             nb_deltas_r = b.deltas_r;
-            nb_files_l = List.length b.files_l;
-            nb_files_r = List.length b.files_r;
-            nb_hashed_l = b.hashed_l;
-            nb_hashed_r = b.hashed_r;
           }
   in
   {
@@ -1878,44 +1794,40 @@ let snapshot t =
 let shape_error () =
   invalid_arg "Staged.restore: snapshot does not match the compiled query"
 
-let take n l = List.filteri (fun i _ -> i < n) l
-
-let rec restore_state node ns =
+let rec restore_state t node ns =
   if node.id <> ns.ns_id then shape_error ();
   node.cum_out <- ns.ns_cum_out;
   node.cum_points <- ns.ns_cum_points;
   Selectivity.restore node.sel ns.ns_sel;
   match (node.kind, ns.ns_kind) with
   | Leaf _, Ns_leaf -> ()
-  | Select_node { child; _ }, Ns_select cs -> restore_state child cs
+  | Select_node { child; _ }, Ns_select cs -> restore_state t child cs
   | Project_node { child; groups; _ }, Ns_project { np_groups; np_child } ->
       Hashtbl.reset groups;
       List.iter (fun (tp, c) -> Hashtbl.replace groups tp (ref c)) np_groups;
-      restore_state child np_child
+      restore_state t child np_child
   | Binary_node b, Ns_binary bs ->
-      restore_state b.left bs.nb_left;
-      restore_state b.right bs.nb_right;
+      restore_state t b.left bs.nb_left;
+      restore_state t b.right bs.nb_right;
       b.deltas_l <- bs.nb_deltas_l;
       b.deltas_r <- bs.nb_deltas_r;
       (* Sorted files and hash indexes are deterministic functions of
-         the delta prefix each path had processed: rebuild them exactly
-         as the sort/hash stages originally did (same arrays, same
-         comparators, same insertion order — the structures come back
-         bit-identical, probe emission order included). No device is
-         charged: recovery pays journal-read time, not a replay of
-         work that already happened. *)
-      b.files_l <-
-        List.map (Ops.sorted_copy b.cmp_l) (take bs.nb_files_l bs.nb_deltas_l);
-      b.files_r <-
-        List.map (Ops.sorted_copy b.cmp_r) (take bs.nb_files_r bs.nb_deltas_r);
-      List.iter
-        (fun d -> Ops.Hash_index.add b.hash_l d)
-        (take bs.nb_hashed_l bs.nb_deltas_l);
-      List.iter
-        (fun d -> Ops.Hash_index.add b.hash_r d)
-        (take bs.nb_hashed_r bs.nb_deltas_r);
-      b.hashed_l <- bs.nb_hashed_l;
-      b.hashed_r <- bs.nb_hashed_r
+         the deltas: rebuild exactly what the query's path retained, as
+         its stages originally did (same arrays, same comparators, same
+         insertion order — the structures come back bit-identical,
+         probe emission order included). Sort_merge sorts every delta
+         into a file; Hash under full fulfillment indexes every delta;
+         Hash under partial fulfillment retains nothing. No device is
+         charged: recovery pays journal-read time, not a replay of work
+         that already happened. *)
+      (match t.config.physical with
+      | Config.Sort_merge ->
+          b.files_l <- List.map (Ops.sorted_copy b.cmp_l) bs.nb_deltas_l;
+          b.files_r <- List.map (Ops.sorted_copy b.cmp_r) bs.nb_deltas_r
+      | Config.Hash when is_full t ->
+          List.iter (Ops.Hash_index.add b.hash_l) bs.nb_deltas_l;
+          List.iter (Ops.Hash_index.add b.hash_r) bs.nb_deltas_r
+      | Config.Hash -> ())
   | (Leaf _ | Select_node _ | Project_node _ | Binary_node _), _ ->
       shape_error ()
 
@@ -1960,7 +1872,7 @@ let restore t snap =
     t.scans snap.sn_scans;
   List.iter2
     (fun term ts ->
-      restore_state term.root ts.tn_root;
+      restore_state t term.root ts.tn_root;
       term.moments <- ts.tn_moments;
       term.block_counts <- ts.tn_block_counts)
     t.terms snap.sn_terms;

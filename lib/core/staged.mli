@@ -95,10 +95,9 @@ val plan : t -> f:float -> mode:sel_mode -> node_plan list
 (** Predicted per-node workload of the {e next} stage at sample
     fraction [f] (scans first, then operators per term, then the
     Overhead node). Each binary operator contributes exactly one entry,
-    priced for whichever physical path ({!Config.physical_operator})
-    will run — under [Adaptive], whichever the fitted cost model
-    predicts cheaper, including any catch-up cost of switching. The
-    physical path never changes the estimate, only the cost.
+    priced for the query's physical path ({!Config.physical_operator},
+    fixed for its whole life). The physical path never changes the
+    estimate, only the cost.
     @raise Invalid_argument for [f] outside (0, 1]. *)
 
 val predicted_cost : t -> f:float -> mode:sel_mode -> float
@@ -139,13 +138,14 @@ val group_estimates : t -> (Taqp_data.Tuple.t * float) list option
     A {!snapshot} is the complete run-time-evolved state of the
     compiled query as plain data: sample-set histories and stream
     positions, per-operator selectivity records, retained binary
-    deltas (with how far each physical path had processed them),
-    projection group tables, aggregate moments and the per-term block
-    counts. {!restore} writes a snapshot into a {e freshly compiled}
-    instance of the same query (same text, config, aggregate and
-    catalog) — derived structures (sorted files, hash indexes) are
-    rebuilt deterministically from the deltas rather than serialized,
-    and come back bit-identical, so a resumed run draws, evaluates,
+    deltas, projection group tables, aggregate moments and the per-term
+    block counts. {!restore} writes a snapshot into a {e freshly
+    compiled} instance of the same query (same text, config, aggregate
+    and catalog) — derived structures are rebuilt deterministically
+    from the deltas rather than serialized (sorted files under
+    [Sort_merge], hash indexes under [Hash] with full fulfillment,
+    nothing under [Hash] with partial fulfillment), and come back
+    bit-identical, so a resumed run draws, evaluates,
     prices and estimates exactly as the uninterrupted one would have
     from that stage boundary on. See docs/RECOVERY.md. *)
 
@@ -179,10 +179,6 @@ and node_kind_state =
       nb_right : node_state;
       nb_deltas_l : Taqp_data.Tuple.t array list;  (** oldest first *)
       nb_deltas_r : Taqp_data.Tuple.t array list;
-      nb_files_l : int;  (** deltas already sorted into retained files *)
-      nb_files_r : int;
-      nb_hashed_l : int;  (** deltas already in the retained hash index *)
-      nb_hashed_r : int;
     }
 
 type term_snapshot = {

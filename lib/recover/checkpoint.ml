@@ -199,7 +199,7 @@ let config b (c : Config.t) =
     | Chao -> 3);
   C.u8 b
     (match c.variance_estimator with Srs_approximation -> 0 | Cluster_exact -> 1);
-  C.u8 b (match c.physical with Sort_merge -> 0 | Hash -> 1 | Adaptive -> 2);
+  C.u8 b (match c.physical with Sort_merge -> 0 | Hash -> 1);
   C.int b c.max_bisect_iterations;
   C.bool b c.trace;
   C.int b c.domains
@@ -235,7 +235,6 @@ let read_config d : Config.t =
     match C.read_u8 d with
     | 0 -> Sort_merge
     | 1 -> Hash
-    | 2 -> Adaptive
     | n -> raise (C.Decode_error (Printf.sprintf "bad physical tag %d" n))
   in
   let max_bisect_iterations = C.read_int d in
@@ -535,26 +534,12 @@ let rec node_state b (n : Staged.node_state) =
       C.u8 b 2;
       C.list (C.pair C.tuple C.int) b np_groups;
       node_state b np_child
-  | Ns_binary
-      {
-        nb_left;
-        nb_right;
-        nb_deltas_l;
-        nb_deltas_r;
-        nb_files_l;
-        nb_files_r;
-        nb_hashed_l;
-        nb_hashed_r;
-      } ->
+  | Ns_binary { nb_left; nb_right; nb_deltas_l; nb_deltas_r } ->
       C.u8 b 3;
       node_state b nb_left;
       node_state b nb_right;
       C.list (C.array C.tuple) b nb_deltas_l;
-      C.list (C.array C.tuple) b nb_deltas_r;
-      C.int b nb_files_l;
-      C.int b nb_files_r;
-      C.int b nb_hashed_l;
-      C.int b nb_hashed_r
+      C.list (C.array C.tuple) b nb_deltas_r
 
 let rec read_node_state d : Staged.node_state =
   let ns_id = C.read_int d in
@@ -574,21 +559,7 @@ let rec read_node_state d : Staged.node_state =
         let nb_right = read_node_state d in
         let nb_deltas_l = C.read_list (C.read_array C.read_tuple) d in
         let nb_deltas_r = C.read_list (C.read_array C.read_tuple) d in
-        let nb_files_l = C.read_int d in
-        let nb_files_r = C.read_int d in
-        let nb_hashed_l = C.read_int d in
-        let nb_hashed_r = C.read_int d in
-        Ns_binary
-          {
-            nb_left;
-            nb_right;
-            nb_deltas_l;
-            nb_deltas_r;
-            nb_files_l;
-            nb_files_r;
-            nb_hashed_l;
-            nb_hashed_r;
-          }
+        Ns_binary { nb_left; nb_right; nb_deltas_l; nb_deltas_r }
     | n -> raise (C.Decode_error (Printf.sprintf "bad node kind tag %d" n))
   in
   { ns_id; ns_cum_out; ns_cum_points; ns_sel; ns_kind }

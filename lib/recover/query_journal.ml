@@ -6,7 +6,11 @@ module Executor = Taqp_core.Executor
 module Injector = Taqp_fault.Injector
 
 let tag_meta = 1
-let tag_checkpoint = 2
+
+(* Tag 2 framed the earlier checkpoint layout, whose binary-node state
+   also carried per-path progress counters; such records are refused
+   rather than misread. *)
+let tag_checkpoint = 3
 
 type t = {
   writer : Journal.writer;

@@ -56,8 +56,7 @@ type measures = {
   nlogn : float;  (** sum over operands of n * log2 n for new sorts *)
   merge_reads : float;  (** tuples re-read while merging sorted files *)
   build_tuples : float;
-      (** tuples inserted into retained hash indexes this stage (deltas
-          plus any catch-up after a sort->hash switch) *)
+      (** delta tuples inserted into hash indexes this stage *)
   probe_tuples : float;  (** delta tuples probed against the indexes *)
   out_tuples : float;  (** result tuples produced *)
   out_pages : float;  (** result pages written *)

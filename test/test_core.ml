@@ -774,8 +774,7 @@ let test_run_equals_stepped () =
             (Fmt.str "%s/%s run == stepped" name
                (match physical with
                | Config.Sort_merge -> "sort"
-               | Config.Hash -> "hash"
-               | Config.Adaptive -> "adaptive"))
+               | Config.Hash -> "hash"))
             (step_fingerprint direct) (step_fingerprint r);
           checkb "took at least one step" true (steps >= 0))
         [ Config.Sort_merge; Config.Hash ])

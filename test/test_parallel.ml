@@ -52,7 +52,6 @@ let physicals =
 let physical_name = function
   | Config.Sort_merge -> "sort_merge"
   | Config.Hash -> "hash"
-  | Config.Adaptive -> "adaptive"
 
 let fingerprint (r : Report.t) =
   Fmt.str "%.17g|%.17g|%.17g|%.17g|%d|%b|%a" r.Report.estimate

@@ -8,7 +8,6 @@ open Taqp_relational
 module Config = Taqp_core.Config
 module Staged = Taqp_core.Staged
 module Paper_setup = Taqp_workload.Paper_setup
-module Cost_model = Taqp_timecost.Cost_model
 module Count_estimator = Taqp_estimators.Count_estimator
 
 (* Check helpers, workload specs and the fixed-stage driver live in
@@ -200,34 +199,27 @@ let check_bit_identical name (wl : Paper_setup.t) =
   let stages = 4 and f = 0.05 in
   let sort_r, _ = run_fixed_stages ~physical:Config.Sort_merge ~stages ~f wl in
   let hash_r, _ = run_fixed_stages ~physical:Config.Hash ~stages ~f wl in
-  let adapt_r, _ = run_fixed_stages ~physical:Config.Adaptive ~stages ~f wl in
   checki (name ^ ": same stage count (hash)") (List.length sort_r)
     (List.length hash_r);
-  checki (name ^ ": same stage count (adaptive)") (List.length sort_r)
-    (List.length adapt_r);
-  List.iter
-    (fun other_r ->
-      List.iter2
-        (fun (a : Staged.stage_result) (b : Staged.stage_result) ->
-          let ea = a.Staged.estimate and eb = b.Staged.estimate in
-          checkf (name ^ ": estimate") ea.Count_estimator.estimate
-            eb.Count_estimator.estimate;
-          checkf (name ^ ": variance") ea.Count_estimator.variance
-            eb.Count_estimator.variance;
-          checkf (name ^ ": hits") ea.Count_estimator.hits
-            eb.Count_estimator.hits;
-          checkf (name ^ ": points") ea.Count_estimator.points
-            eb.Count_estimator.points;
-          checkf (name ^ ": total points") ea.Count_estimator.total_points
-            eb.Count_estimator.total_points;
-          let ca = Count_estimator.confidence ~level:0.95 ea in
-          let cb = Count_estimator.confidence ~level:0.95 eb in
-          checkf (name ^ ": ci center") ca.Taqp_stats.Confidence.center
-            cb.Taqp_stats.Confidence.center;
-          checkf (name ^ ": ci half-width") ca.Taqp_stats.Confidence.half_width
-            cb.Taqp_stats.Confidence.half_width)
-        sort_r other_r)
-    [ hash_r; adapt_r ]
+  List.iter2
+    (fun (a : Staged.stage_result) (b : Staged.stage_result) ->
+      let ea = a.Staged.estimate and eb = b.Staged.estimate in
+      checkf (name ^ ": estimate") ea.Count_estimator.estimate
+        eb.Count_estimator.estimate;
+      checkf (name ^ ": variance") ea.Count_estimator.variance
+        eb.Count_estimator.variance;
+      checkf (name ^ ": hits") ea.Count_estimator.hits eb.Count_estimator.hits;
+      checkf (name ^ ": points") ea.Count_estimator.points
+        eb.Count_estimator.points;
+      checkf (name ^ ": total points") ea.Count_estimator.total_points
+        eb.Count_estimator.total_points;
+      let ca = Count_estimator.confidence ~level:0.95 ea in
+      let cb = Count_estimator.confidence ~level:0.95 eb in
+      checkf (name ^ ": ci center") ca.Taqp_stats.Confidence.center
+        cb.Taqp_stats.Confidence.center;
+      checkf (name ^ ": ci half-width") ca.Taqp_stats.Confidence.half_width
+        cb.Taqp_stats.Confidence.half_width)
+    sort_r hash_r
 
 let bit_identity_workloads () =
   let spec = Fixtures.spec () in
@@ -284,84 +276,12 @@ let test_hash_cheaper_at_late_stages () =
   in
   let sort_r, _ = run_fixed_stages ~physical:Config.Sort_merge ~stages ~f wl in
   let hash_r, _ = run_fixed_stages ~physical:Config.Hash ~stages ~f wl in
-  let adapt_r, _ = run_fixed_stages ~physical:Config.Adaptive ~stages ~f wl in
   checki "ran enough stages" stages (List.length sort_r);
   let cs = nodes_cost sort_r and ch = nodes_cost hash_r in
-  let ca = nodes_cost adapt_r in
   checkb
     (Printf.sprintf "hash at least 2x cheaper (sort %.4f vs hash %.4f)" cs ch)
     true
-    (cs >= 2.0 *. ch);
-  checkb
-    (Printf.sprintf "adaptive at least 2x cheaper (sort %.4f vs adaptive %.4f)"
-       cs ca)
-    true
-    (cs >= 2.0 *. ca)
-
-let test_adaptive_within_envelope () =
-  let wl = Paper_setup.join ~spec:(Fixtures.spec ()) ~target_output:2000 ~seed:3 () in
-  let stages = 4 and f = 0.06 in
-  let _, sort_cost = run_fixed_stages ~physical:Config.Sort_merge ~stages ~f wl in
-  let _, hash_cost = run_fixed_stages ~physical:Config.Hash ~stages ~f wl in
-  let _, adapt_cost = run_fixed_stages ~physical:Config.Adaptive ~stages ~f wl in
-  (* Adaptive never does worse than the worse pure path, with slack for
-     one switch's catch-up work. *)
-  checkb "adaptive within the pure paths' envelope" true
-    (adapt_cost <= Float.max sort_cost hash_cost *. 1.25)
-
-module Formulas = Taqp_timecost.Formulas
-module Io_stats = Taqp_storage.Io_stats
-
-let test_forced_switch_catch_up () =
-  (* Teach the hash path's cost node an artificially high per-tuple
-     cost so adaptive selection starts on the sort path; as stages
-     accumulate the sort path's re-merging grows past it and the
-     operator switches to hash mid-run. The switch must exercise the
-     index catch-up and leave every per-stage estimate bit-identical to
-     a pure sort-merge run. *)
-  let wl = Paper_setup.join ~spec:(Fixtures.spec ()) ~target_output:2000 ~seed:3 () in
-  let stages = 6 and f = 0.08 in
-  let run ~physical ~bias =
-    let config = { Config.default with Config.physical } in
-    let cm = Cost_model.create () in
-    let staged =
-      Staged.compile ~catalog:wl.catalog ~config ~rng:(Fixtures.Prng.create 7)
-        ~cost_model:cm wl.query
-    in
-    if bias then
-      List.iter
-        (fun id ->
-          if Cost_model.kind cm ~id = Formulas.Hash_join then
-            for _ = 1 to 8 do
-              Cost_model.observe_step cm ~id ~step:Formulas.Step_hash_build
-                { Formulas.zero_measures with Formulas.build_tuples = 100.0 }
-                ~seconds:0.3;
-              Cost_model.observe_step cm ~id ~step:Formulas.Step_hash_probe
-                { Formulas.zero_measures with Formulas.probe_tuples = 100.0 }
-                ~seconds:0.3
-            done)
-        (Cost_model.ids cm);
-    let _, device = Fixtures.quiet_device () in
-    let rs = ref [] in
-    for _ = 1 to stages do
-      match Staged.run_stage staged ~device ~f with
-      | Some r -> rs := r.Staged.estimate :: !rs
-      | None -> ()
-    done;
-    (List.rev !rs, Fixtures.Device.stats device)
-  in
-  let adaptive_r, stats = run ~physical:Config.Adaptive ~bias:true in
-  let sort_r, _ = run ~physical:Config.Sort_merge ~bias:false in
-  checkb "sort path ran first" true (Io_stats.tuples_sorted stats > 0);
-  checkb "then switched to hash" true (Io_stats.tuples_hashed stats > 0);
-  checki "same stage count" (List.length sort_r) (List.length adaptive_r);
-  List.iter2
-    (fun (a : Count_estimator.t) (b : Count_estimator.t) ->
-      checkf "estimate across switch" a.Count_estimator.estimate
-        b.Count_estimator.estimate;
-      checkf "variance across switch" a.Count_estimator.variance
-        b.Count_estimator.variance)
-    sort_r adaptive_r
+    (cs >= 2.0 *. ch)
 
 let () =
   Alcotest.run "physical"
@@ -394,9 +314,5 @@ let () =
         [
           Alcotest.test_case "hash cheaper at late stages" `Quick
             test_hash_cheaper_at_late_stages;
-          Alcotest.test_case "adaptive stays in envelope" `Quick
-            test_adaptive_within_envelope;
-          Alcotest.test_case "forced switch catch-up" `Quick
-            test_forced_switch_catch_up;
         ] );
     ]

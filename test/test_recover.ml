@@ -39,6 +39,7 @@ module Codec = Taqp_recover.Codec
 module Journal = Taqp_recover.Journal
 module Checkpoint = Taqp_recover.Checkpoint
 module Query_journal = Taqp_recover.Query_journal
+module Plan = Taqp_sampling.Plan
 
 let checkb = Fixtures.checkb
 let checki = Fixtures.checki
@@ -61,7 +62,6 @@ let physicals =
 let physical_name = function
   | Config.Sort_merge -> "sort_merge"
   | Config.Hash -> "hash"
-  | Config.Adaptive -> "adaptive"
 
 let fingerprint (r : Report.t) =
   Fmt.str "%.17g|%.17g|%.17g|%.17g|%d|%b|%a" r.Report.estimate
@@ -381,9 +381,15 @@ let test_meta_roundtrip () =
 (* ------------------------------------------------------------------ *)
 (* Boundary-crash bit-identity: the tentpole guarantee                 *)
 
-let boundary_cell ~wl_name ~physical ~seed wl quota =
+let boundary_cell ~fulfillment ~wl_name ~physical ~seed wl quota =
   let cell = Printf.sprintf "%s/%s/seed=%d" wl_name (physical_name physical) seed in
-  let config = { Config.default with Config.physical } in
+  let config =
+    {
+      Config.default with
+      Config.physical;
+      plan = { Plan.default with Plan.fulfillment };
+    }
+  in
   let full_path = tmp "full" and crash_path = tmp "crash" and cont = tmp "cont" in
   (* The uninterrupted journaled run, trace captured. *)
   let full_sink, full_events = Sink.memory () in
@@ -430,12 +436,13 @@ let boundary_cell ~wl_name ~physical ~seed wl quota =
     (show (crash_events ()) @ show (resume_events ()));
   cleanup [ full_path; crash_path; cont ]
 
-let boundary_case ~wl_name ~make_wl ~quota () =
+let boundary_case ?(fulfillment = Plan.Full) ~wl_name ~make_wl ~quota () =
   List.iter
     (fun physical ->
       List.iter
         (fun seed ->
-          boundary_cell ~wl_name ~physical ~seed (make_wl ~seed ()) quota)
+          boundary_cell ~fulfillment ~wl_name ~physical ~seed
+            (make_wl ~seed ()) quota)
         seeds)
     physicals
 
@@ -458,6 +465,18 @@ let test_boundary_intersection =
   boundary_case ~wl_name:"intersection"
     ~make_wl:(fun ~seed () -> Paper_setup.intersection ~spec:(Fixtures.spec ()) ~seed ())
     ~quota:2.0
+
+(* Partial fulfillment is the case where the two paths retain different
+   structures across a boundary: Sort_merge keeps a sorted file per
+   delta, Hash keeps no index at all (each stage builds a transient
+   one), and restore must rebuild exactly that. *)
+let test_boundary_partial =
+  boundary_case ~fulfillment:Plan.Partial ~wl_name:"join-partial"
+    ~make_wl:(fun ~seed () ->
+      Paper_setup.join
+        ~spec:(Fixtures.spec ~n_tuples:2000 ~tuple_bytes:200 ())
+        ~seed ())
+    ~quota:8.0
 
 (* ------------------------------------------------------------------ *)
 (* Zero cost when off                                                  *)
@@ -530,6 +549,35 @@ let test_mid_stage_crash_degrades () =
     | Error _ -> true
     | Ok _ -> false);
   cleanup [ path ]
+
+(* A checkpoint record under the tag of the earlier layout is refused
+   with an error, never misdecoded and never raised. The record here is
+   a current checkpoint relabelled with the old tag. *)
+let test_old_checkpoint_tag_is_error () =
+  let wl = Paper_setup.join ~spec:(Fixtures.spec ()) ~seed:21 () in
+  let path = tmp "current" and old = tmp "oldtag" in
+  ignore (journaled_run ~path ~wl ~quota:2.5 ~seed:3 ~stop_after:1 ());
+  checkb "current journal loads" true
+    (match Query_journal.load path with Ok _ -> true | Error _ -> false);
+  let records =
+    match Journal.load path with
+    | Ok { records; _ } -> records
+    | Error m -> Alcotest.fail m
+  in
+  checkb "journal holds checkpoints" true (List.length records >= 2);
+  let w = Journal.create old in
+  List.iteri
+    (fun i r ->
+      Journal.append w
+        (if i = 0 then r else "\002" ^ String.sub r 1 (String.length r - 1)))
+    records;
+  Journal.close w;
+  checkb "old checkpoint tag refused" true
+    (match Query_journal.load old with
+    | Error _ -> true
+    | Ok _ -> false
+    | exception _ -> false);
+  cleanup [ path; old ]
 
 let test_empty_journal_is_error () =
   let path = tmp "empty" in
@@ -773,6 +821,8 @@ let () =
           Alcotest.test_case "torn-tail rule" `Quick test_journal_torn_tail;
           Alcotest.test_case "meta-less journal refused" `Quick
             test_empty_journal_is_error;
+          Alcotest.test_case "old checkpoint tag refused" `Quick
+            test_old_checkpoint_tag_is_error;
         ] );
       ( "meta",
         [ Alcotest.test_case "meta round-trip" `Quick test_meta_roundtrip ] );
@@ -783,6 +833,8 @@ let () =
           Alcotest.test_case "join bit-identical" `Quick test_boundary_join;
           Alcotest.test_case "intersection bit-identical" `Quick
             test_boundary_intersection;
+          Alcotest.test_case "partial-fulfillment join bit-identical" `Quick
+            test_boundary_partial;
         ] );
       ( "degradation",
         [
